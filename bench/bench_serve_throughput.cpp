@@ -26,18 +26,18 @@
 // price of a swap is a transient dip, never a dropped or errored response.
 //
 // A second section compares the surrogate's inference tiers (DANCE_INFER):
-// the same single-query trace answered by the autograd graph walk, the fused
-// frozen plan, and the plan's int8 tier — QPS, p50/p95 latency, and the
-// cost-ordering agreement of each tier against the autograd reference
-// (fraction of unique-key pairs ranked the same by predicted latency; fused
-// is bit-identical so its agreement is exactly 1).
+// the same single-query trace answered by the autograd graph walk and the
+// fused frozen plan — QPS, p50/p95 latency, and the cost-ordering agreement
+// of the fused tier against the autograd reference (fraction of unique-key
+// pairs ranked the same by predicted latency; fused is bit-identical so its
+// agreement must be exactly 1).
 //
 // A third section prices the exact ground-truth path's startup and serving
-// under the CostProvider API: an in-memory CostTable build (DANCE_COST=exact
-// and =lut) vs mmap-loading a compiled DCTB artifact — build/load wall time,
-// RSS delta, file size, and ExactBackend QPS/p50/p99 through each provider,
-// with a bit-identity check between the mmap and in-memory answers. Rows go
-// to bench/data/cost_table.csv. Set DANCE_BENCH_ONLY=costtable to run just
+// under the CostProvider API: an in-memory CostTable build vs mmap-loading
+// a compiled DCTB artifact — build/load wall time, RSS delta, file size, and
+// ExactBackend QPS/p50/p99 through each provider, with a bit-identity check
+// between the mmap and in-memory answers. Rows go to
+// bench/data/cost_table.csv. Set DANCE_BENCH_ONLY=costtable to run just
 // this section (the CI release smoke does).
 //
 // Prints ASCII tables, writes bench/data/serve_throughput.csv,
@@ -410,15 +410,13 @@ int main_comparison(const HotSwapResult& hot) {
   return (identical && service_identical) ? 0 : 1;
 }
 
-// --- inference tiers: autograd vs fused plan vs int8 ------------------------
+// --- inference tiers: autograd vs fused plan --------------------------------
 
 struct TierRow {
   infer::Mode mode = infer::Mode::kAutograd;
   double seconds = 0.0;
   double p50_us = 0.0;
   double p95_us = 0.0;
-  float calib_error = 0.0F;
-  float calib_agreement = 1.0F;
 };
 
 /// Replays the trace one request at a time through a backend pinned to
@@ -458,10 +456,6 @@ TierRow replay_tier(infer::Mode mode, std::vector<float>& unique_lat) {
       unique_lat.push_back(static_cast<float>(r.metrics.latency_ms));
     }
   }
-  if (backend.plan() != nullptr && mode == infer::Mode::kInt8) {
-    row.calib_error = backend.plan()->calibration_error();
-    row.calib_agreement = backend.plan()->calibration_agreement();
-  }
   return row;
 }
 
@@ -491,13 +485,10 @@ int main_tiers() {
 
   std::vector<float> lat_autograd;
   std::vector<float> lat_fused;
-  std::vector<float> lat_int8;
   const TierRow autograd = replay_tier(infer::Mode::kAutograd, lat_autograd);
   const TierRow fused = replay_tier(infer::Mode::kFused, lat_fused);
-  const TierRow int8 = replay_tier(infer::Mode::kInt8, lat_int8);
 
   const double agree_fused = ordering_agreement(lat_autograd, lat_fused);
-  const double agree_int8 = ordering_agreement(lat_autograd, lat_int8);
 
   util::Table table({"tier", "seconds", "QPS", "p50 us", "p95 us",
                      "speedup", "ordering agreement"});
@@ -511,11 +502,7 @@ int main_tiers() {
   };
   add("autograd", autograd, 1.0);
   add("fused", fused, agree_fused);
-  add("int8", int8, agree_int8);
   std::printf("%s\n", table.to_string().c_str());
-  std::printf("int8 calibration self-check: worst error %.2f%% of column "
-              "range, config agreement %.1f%%\n",
-              100.0 * int8.calib_error, 100.0 * int8.calib_agreement);
   const double fused_speedup = autograd.seconds / fused.seconds;
   std::printf("fused single-query speedup over autograd: %.1fx %s\n\n",
               fused_speedup,
@@ -525,21 +512,17 @@ int main_tiers() {
   util::CsvWriter csv(bench::data_path("infer_tiers.csv"),
                       {"tier", "requests", "seconds", "qps", "p50_us",
                        "p95_us", "speedup_vs_autograd",
-                       "cost_ordering_agreement", "calib_error",
-                       "calib_agreement"});
+                       "cost_ordering_agreement"});
   const std::string nreq = std::to_string(e.trace.size());
   const auto row = [&](const char* name, const TierRow& r, double agree) {
     csv.add_row({name, nreq, util::Table::fmt(r.seconds, 4),
                  util::Table::fmt(n / r.seconds, 1),
                  util::Table::fmt(r.p50_us, 2), util::Table::fmt(r.p95_us, 2),
                  util::Table::fmt(autograd.seconds / r.seconds, 2),
-                 util::Table::fmt(agree, 4),
-                 util::Table::fmt(r.calib_error, 4),
-                 util::Table::fmt(r.calib_agreement, 4)});
+                 util::Table::fmt(agree, 4)});
   };
   row("autograd", autograd, 1.0);
   row("fused", fused, agree_fused);
-  row("int8", int8, agree_int8);
   csv.flush();
   std::printf("wrote %s\n\n", bench::data_path("infer_tiers.csv").c_str());
   return agree_fused == 1.0 ? 0 : 1;
@@ -636,33 +619,19 @@ int main_cost_table() {
         .count();
   };
 
-  // Row 1: in-memory build, exact mode (the seed analytical path every
-  // shard used to pay at startup).
-  const accel::CostModel exact_model(accel::TechnologyParams{},
-                                     accel::CostMode::kExact);
+  // Row 1: in-memory build (the analytical path every shard used to pay at
+  // startup).
+  const accel::CostModel model;
   long rss0 = rss_kb();
   std::unique_ptr<arch::CostTable> mem_table;
-  const double build_exact_ms = timed_ms([&] {
-    mem_table = std::make_unique<arch::CostTable>(e.arch_space, e.hw_space,
-                                                  exact_model);
+  const double build_ms = timed_ms([&] {
+    mem_table =
+        std::make_unique<arch::CostTable>(e.arch_space, e.hw_space, model);
   });
   const long mem_rss_kb = rss_kb() - rss0;
   const ExactServeStats mem_stats = replay_exact(*mem_table, reqs);
 
-  // Row 2: in-memory build, LUT-compiled model (same table shape; the
-  // build sweep runs with reciprocal tables instead of divides).
-  const accel::CostModel lut_model(accel::TechnologyParams{},
-                                   accel::CostMode::kLut);
-  double build_lut_ms = 0.0;
-  {
-    std::unique_ptr<arch::CostTable> lut_table;
-    build_lut_ms = timed_ms([&] {
-      lut_table = std::make_unique<arch::CostTable>(e.arch_space, e.hw_space,
-                                                    lut_model);
-    });
-  }
-
-  // Row 3: compile once to a DCTB artifact, then mmap it — the per-shard
+  // Row 2: compile once to a DCTB artifact, then mmap it — the per-shard
   // startup cost drops to a load + checksum pass over shared pages.
   const std::string artifact = bench::data_path("cost_table.dctb");
   arch::save_cost_table(*mem_table, artifact);
@@ -681,13 +650,11 @@ int main_cost_table() {
 
   util::Table table({"source", "startup ms", "RSS delta KB", "file bytes",
                      "QPS", "p50 us", "p99 us"});
-  table.add_row({"build (exact)", util::Table::fmt(build_exact_ms, 1),
+  table.add_row({"build", util::Table::fmt(build_ms, 1),
                  std::to_string(mem_rss_kb), "-",
                  util::Table::fmt(mem_stats.qps, 0),
                  util::Table::fmt(mem_stats.p50_us, 1),
                  util::Table::fmt(mem_stats.p99_us, 1)});
-  table.add_row({"build (lut)", util::Table::fmt(build_lut_ms, 1), "-", "-",
-                 "-", "-", "-"});
   table.add_row({"mmap (DCTB)", util::Table::fmt(load_ms, 1),
                  std::to_string(map_rss_kb), std::to_string(file_bytes),
                  util::Table::fmt(map_stats.qps, 0),
@@ -700,18 +667,16 @@ int main_cost_table() {
               static_cast<unsigned long long>(mapped->checksum()));
 
   util::CsvWriter csv(bench::data_path("cost_table.csv"),
-                      {"source", "cost_mode", "startup_ms", "rss_delta_kb",
+                      {"source", "startup_ms", "rss_delta_kb",
                        "file_bytes", "queries", "qps", "p50_us", "p99_us",
                        "bit_identical"});
   const std::string nqs = std::to_string(nq);
-  csv.add_row({"build", "exact", util::Table::fmt(build_exact_ms, 2),
+  csv.add_row({"build", util::Table::fmt(build_ms, 2),
                std::to_string(mem_rss_kb), "0", nqs,
                util::Table::fmt(mem_stats.qps, 1),
                util::Table::fmt(mem_stats.p50_us, 2),
                util::Table::fmt(mem_stats.p99_us, 2), "1"});
-  csv.add_row({"build", "lut", util::Table::fmt(build_lut_ms, 2), "-", "0",
-               "0", "-", "-", "-", "-"});
-  csv.add_row({"mmap", "exact", util::Table::fmt(load_ms, 2),
+  csv.add_row({"mmap", util::Table::fmt(load_ms, 2),
                std::to_string(map_rss_kb), std::to_string(file_bytes), nqs,
                util::Table::fmt(map_stats.qps, 1),
                util::Table::fmt(map_stats.p50_us, 2),
@@ -792,7 +757,7 @@ int main(int argc, char** argv) {
               "re-warm.\n\n");
   const HotSwapResult hot = run_hotswap();
   const int rc = main_comparison(hot);
-  std::printf("== surrogate inference tiers: autograd vs fused plan vs int8 "
+  std::printf("== surrogate inference tiers: autograd vs fused plan "
               "(DANCE_INFER) ==\n");
   std::printf("single-query replay of the same trace per tier; ordering "
               "agreement vs autograd over 512 unique keys.\n\n");

@@ -5,7 +5,7 @@
 // the orderings that drive co-exploration agree.
 //
 // A closing section times the *surrogate* cost backend on its active
-// inference tier (DANCE_INFER=autograd|fused|int8; the tier is printed in
+// inference tier (DANCE_INFER=autograd|fused; the tier is printed in
 // the banner and the end-of-run report).
 //
 // Run: ./build/examples/backend_comparison

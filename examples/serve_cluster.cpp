@@ -40,10 +40,8 @@
 //   --shard-id=K         internal (shard role)
 //
 // Example:
-//   ./build/examples/serve_cluster --shards=2 --small \
-//       --listen=unix:/tmp/dance.sock &
-//   ./build/examples/serve_cluster --client --connect=unix:/tmp/dance.sock \
-//       < queries.jsonl
+//   ./build/examples/serve_cluster --shards=2 --small --listen=unix:/tmp/dance.sock &
+//   ./build/examples/serve_cluster --client --connect=unix:/tmp/dance.sock < queries.jsonl
 //   kill -TERM %1
 #include <cerrno>
 #include <csignal>

@@ -16,7 +16,7 @@
 // Flags:
 //   --backend=exact|surrogate  ground-truth LUT (default) or the evaluator
 //                              (the surrogate's inference tier follows
-//                              DANCE_INFER=autograd|fused|int8 and is printed
+//                              DANCE_INFER=autograd|fused and is printed
 //                              in the banner and the EOF report)
 //   --small                    tiny hardware space (fast startup; CI smoke)
 //   --table=PATH               mmap a compiled DCTB cost table (see

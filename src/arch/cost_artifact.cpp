@@ -12,6 +12,7 @@
 
 #include "obs/registry.h"
 #include "util/fs.h"
+#include "util/hash.h"
 
 namespace dance::arch {
 
@@ -37,16 +38,6 @@ constexpr char kMagic[4] = {'D', 'C', 'T', 'B'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kChecksumBytes = 8;
-
-/// Same FNV-1a as the DSNP cache snapshots (src/cluster/snapshot.cpp).
-std::uint64_t fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 template <typename T>
 void put_at(std::string& bytes, std::size_t off, T v) {
@@ -111,7 +102,8 @@ std::uint64_t save_cost_table(const TableCostProvider& table,
   copy_array(view.choice_energy, choice_count);
 
   const std::uint64_t checksum =
-      fnv1a(bytes.data(), kHeaderBytes + payload_bytes);
+      util::fnv1a(bytes.data(), kHeaderBytes + payload_bytes,
+                  util::kFnv1aStoredBasis);
   put_at<std::uint64_t>(bytes, kHeaderBytes + payload_bytes, checksum);
 
   try {
@@ -163,7 +155,8 @@ MmapCostTable::MmapCostTable(std::string path, const ArchSpace& arch_space)
   // Checksum first (DSNP discipline): nothing else is trusted, or even
   // interpreted, until the whole image verifies.
   const auto stored = get_at<std::uint64_t>(data, size - kChecksumBytes);
-  const std::uint64_t actual = fnv1a(data, size - kChecksumBytes);
+  const std::uint64_t actual =
+      util::fnv1a(data, size - kChecksumBytes, util::kFnv1aStoredBasis);
   if (stored != actual) {
     throw fail("checksum mismatch", size - kChecksumBytes, stored, actual);
   }

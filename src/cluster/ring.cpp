@@ -5,6 +5,7 @@
 #include <set>
 
 #include "util/env.h"
+#include "util/hash.h"
 
 namespace dance::cluster {
 
@@ -23,18 +24,17 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 std::uint64_t HashRing::point_hash(int shard_id, int vnode) {
-  // FNV-1a over the two ints, then finalize. Byte-order independent: feed
-  // the values, not their memory.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto feed = [&h](std::uint64_t v) {
+  // FNV-1a over the two ints as 8 little-endian bytes each, then finalize.
+  // Byte-order independent: feed the values, not their memory.
+  unsigned char bytes[16];
+  const auto put = [&bytes](int at, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
+      bytes[at + i] = static_cast<unsigned char>((v >> (i * 8)) & 0xff);
     }
   };
-  feed(static_cast<std::uint64_t>(static_cast<std::uint32_t>(shard_id)));
-  feed(static_cast<std::uint64_t>(static_cast<std::uint32_t>(vnode)));
-  return mix64(h);
+  put(0, static_cast<std::uint32_t>(shard_id));
+  put(8, static_cast<std::uint32_t>(vnode));
+  return mix64(util::fnv1a(bytes, sizeof(bytes), util::kFnv1aStoredBasis));
 }
 
 HashRing::HashRing(const std::vector<int>& shard_ids, int vnodes) {

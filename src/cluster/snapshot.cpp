@@ -10,6 +10,7 @@
 
 #include "obs/registry.h"
 #include "util/fs.h"
+#include "util/hash.h"
 
 namespace dance::cluster {
 
@@ -18,22 +19,16 @@ namespace {
 constexpr char kMagic[4] = {'D', 'S', 'N', 'P'};
 constexpr std::uint32_t kVersion = 1;
 
-std::uint64_t fnv1a(const char* data, std::size_t n,
-                    std::uint64_t h = 1469598103934665603ULL) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// Append-only byte sink; everything is staged in memory so the checksum
 /// and the atomic rename are trivial (snapshots are cache-sized, small).
 struct Buffer {
   std::vector<char> bytes;
   void raw(const void* p, std::size_t n) {
-    const char* c = static_cast<const char*>(p);
-    bytes.insert(bytes.end(), c, c + n);
+    // resize + memcpy rather than a range insert: GCC 12 reports a false
+    // -Wstringop-overflow on the inlined insert.
+    const std::size_t at = bytes.size();
+    bytes.resize(at + n);
+    std::memcpy(bytes.data() + at, p, n);
   }
   template <typename T>
   void put(T v) {
@@ -82,7 +77,8 @@ std::size_t save_snapshot(const serve::ShardedLruCache& cache,
     buf.put<std::uint8_t>(static_cast<std::uint8_t>(r.config.dataflow));
     buf.put<std::uint8_t>(0);  // flags
   }
-  buf.put<std::uint64_t>(fnv1a(buf.bytes.data(), buf.bytes.size()));
+  buf.put<std::uint64_t>(util::fnv1a(buf.bytes.data(), buf.bytes.size(),
+                                     util::kFnv1aStoredBasis));
 
   try {
     util::atomic_write_file(
@@ -126,7 +122,8 @@ std::size_t load_snapshot(const std::string& path, int expected_width,
   const std::size_t body = bytes.size() - sizeof(std::uint64_t);
   std::uint64_t stored_sum;
   std::memcpy(&stored_sum, bytes.data() + body, sizeof(stored_sum));
-  if (fnv1a(bytes.data(), body) != stored_sum) {
+  if (util::fnv1a(bytes.data(), body, util::kFnv1aStoredBasis) !=
+      stored_sum) {
     throw fail("snapshot checksum mismatch: " + path);
   }
 

@@ -8,6 +8,7 @@
 #include "runtime/thread_pool.h"
 #include "testing/property.h"
 #include "util/env.h"
+#include "util/hash.h"
 
 namespace dance::fault {
 
@@ -42,17 +43,6 @@ long parse_micros(const std::string& token) {
     bad_spec("duration must be a positive integer (microseconds), got", token);
   }
   return v;
-}
-
-/// FNV-1a over the site name; folded into the base seed so each site gets
-/// an independent, name-stable draw stream.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 /// `rate [':' micros]` for the latency/hang kinds.
@@ -140,7 +130,8 @@ FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
       obs_latency_(obs::Registry::global().counter("fault.injected.latency")),
       obs_hangs_(obs::Registry::global().counter("fault.injected.hangs")) {
   for (const auto& [name, site_spec] : spec_.sites) {
-    auto site = std::make_unique<Site>(testing::mix_seed(seed_, fnv1a(name)));
+    auto site = std::make_unique<Site>(
+        testing::mix_seed(seed_, util::fnv1a(name.data(), name.size())));
     site->spec = site_spec;
     sites_.emplace(name, std::move(site));
   }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/registry.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace dance::registry {
@@ -23,12 +24,7 @@ obs::Counter& swaps_counter() {
 }  // namespace
 
 std::uint64_t model_name_hash(const std::string& name) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::fnv1a(name.data(), name.size(), util::kFnv1aStoredBasis);
 }
 
 ModelVersion::ModelVersion(std::string model, std::uint64_t generation,

@@ -17,7 +17,7 @@ namespace dance::registry {
 
 /// One resident (model, generation): the evaluator reconstructed from its
 /// checkpoints plus its own SurrogateBackend — i.e. its own compiled
-/// infer::Plan (the fused/int8 tiers recompile per generation at
+/// infer::Plan (the fused tier recompiles per generation at
 /// construction). Versions are held and handed out as
 /// `shared_ptr<const ModelVersion>`: a query pins one version for its whole
 /// lifetime, so `publish()` can swap the live pointer while in-flight

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/registry.h"
-#include "util/rng.h"
 
 namespace dance::serve {
 
@@ -62,20 +61,6 @@ Response decode_response(const float* metrics_row, const float* hw_row,
   return resp;
 }
 
-/// Fixed-seed synthetic calibration rows for the int8 tier: uniform [0, 1)
-/// values, the range one-hot(-ish) arch encodings occupy. Deterministic, so
-/// two backends built from the same checkpoint answer identically.
-std::vector<std::vector<float>> calibration_rows(int width) {
-  constexpr int kRows = 64;
-  util::Rng rng(0xCA11B8);
-  std::vector<std::vector<float>> rows(kRows);
-  for (auto& row : rows) {
-    row.resize(static_cast<std::size_t>(width));
-    for (auto& v : row) v = rng.uniform();
-  }
-  return rows;
-}
-
 }  // namespace
 
 SurrogateBackend::SurrogateBackend(evalnet::Evaluator& evaluator)
@@ -88,11 +73,8 @@ SurrogateBackend::SurrogateBackend(evalnet::Evaluator& evaluator,
   // eval mode the deterministic forward throws (see evaluator.h).
   evaluator_.set_frozen(true);
   evaluator_.set_training(false);
-  if (mode_ != infer::Mode::kAutograd) {
+  if (mode_ == infer::Mode::kFused) {
     plan_ = std::make_unique<infer::Plan>(infer::Plan::compile(evaluator_));
-    if (mode_ == infer::Mode::kInt8) {
-      plan_->calibrate(calibration_rows(plan_->arch_width()));
-    }
   }
 }
 
@@ -134,7 +116,7 @@ std::vector<Response> SurrogateBackend::query_plan(
   }
   metrics_.resize(static_cast<std::size_t>(n) * 3);
   hw_.resize(static_cast<std::size_t>(n) * plan_->hw_width());
-  plan_->run(input, n, metrics_.data(), hw_.data(), arena_, mode_);
+  plan_->run(input, n, metrics_.data(), hw_.data(), arena_);
 
   const auto& ranges = plan_->head_ranges();
   const hwgen::HwSearchSpace& space = evaluator_.hwgen_net().space();
@@ -160,10 +142,6 @@ std::vector<Response> SurrogateBackend::query_batch(
     case infer::Mode::kFused:
       reg.counter("infer.batches.fused").inc();
       reg.counter("infer.queries.fused").inc(requests.size());
-      return query_plan(requests);
-    case infer::Mode::kInt8:
-      reg.counter("infer.batches.int8").inc();
-      reg.counter("infer.queries.int8").inc(requests.size());
       return query_plan(requests);
   }
   throw std::logic_error("SurrogateBackend: unknown inference mode");

@@ -56,7 +56,7 @@ class ExactBackend : public CostQueryBackend {
 /// deterministic-inference prerequisite. The hardware configuration is
 /// decoded from the tau-frozen one-hot heads.
 ///
-/// Inference tiers (docs/inference.md). The forward runs on one of three
+/// Inference tiers (docs/inference.md). The forward runs on one of two
 /// implementations, selected at construction (default: the DANCE_INFER
 /// environment knob, which defaults to autograd):
 ///   * autograd — Evaluator::forward_batch through the nn::Module graph;
@@ -64,14 +64,6 @@ class ExactBackend : public CostQueryBackend {
 ///   * fused — infer::Plan compiled from the frozen checkpoint;
 ///     bit-identical responses to autograd (property-tested), ~the cost of
 ///     the raw GEMMs.
-///   * int8 — the fused plan's quantized tier: approximate metrics, 4x
-///     smaller weights; faster than autograd, though at these trunk widths
-///     the blocked fp32 GEMM still beats the scalar int8 loops (see
-///     bench/data/infer_tiers.csv). Weight quantization happens once at
-///     construction on a fixed-seed synthetic row set, so the backend stays
-///     a pure function of the request (the cache/batcher determinism
-///     contract holds for every tier; int8 merely answers with different —
-///     still deterministic — bits).
 class SurrogateBackend : public CostQueryBackend {
  public:
   /// Tier from the DANCE_INFER environment knob.

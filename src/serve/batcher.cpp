@@ -56,8 +56,11 @@ Response MicroBatcher::query(const Request& request) {
     p.enqueue = std::chrono::steady_clock::now();
     future = p.promise.get_future();
     pending_.push_back(std::move(p));
+    // Notify under the lock: the destructor may drain this request and
+    // destroy cv_ as soon as the worker can take mu_, so the notify must
+    // happen before the unlock that lets it.
+    cv_.notify_all();
   }
-  cv_.notify_all();
   return future.get();
 }
 

@@ -9,6 +9,7 @@
 #include "accel/accelerator.h"
 #include "accel/cost_model.h"
 #include "arch/space.h"
+#include "util/hash.h"
 
 namespace dance::serve {
 
@@ -109,13 +110,8 @@ inline std::vector<float> canonical_key(const Request& request) {
 /// hash maps; byte-hashing is exact because keys are canonicalized.
 struct KeyHash {
   std::size_t operator()(const std::vector<float>& key) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto* bytes = reinterpret_cast<const unsigned char*>(key.data());
-    for (std::size_t i = 0; i < key.size() * sizeof(float); ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(
+        util::fnv1a(key.data(), key.size() * sizeof(float)));
   }
 };
 

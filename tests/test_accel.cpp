@@ -53,9 +53,10 @@ TEST(CostModel, RejectsInvalidInputs) {
   ConvShape bad = standard_conv();
   bad.k = -1;
   AcceleratorConfig cfg;
-  EXPECT_THROW(model.layer_cost(cfg, bad), std::invalid_argument);
+  EXPECT_THROW((void)model.layer_cost(cfg, bad), std::invalid_argument);
   cfg.pe_x = 0;
-  EXPECT_THROW(model.layer_cost(cfg, standard_conv()), std::invalid_argument);
+  EXPECT_THROW((void)model.layer_cost(cfg, standard_conv()),
+               std::invalid_argument);
 }
 
 TEST(CostModel, PositiveCosts) {

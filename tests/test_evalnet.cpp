@@ -69,7 +69,7 @@ TEST_F(EvalNetTest, HwGenNetShapesAndPredict) {
   // predict() must return a config inside the space.
   const auto preds = net.predict(enc);
   ASSERT_EQ(preds.size(), 1U);
-  EXPECT_NO_THROW(hw_space_.index_of(preds[0]));
+  EXPECT_NO_THROW((void)hw_space_.index_of(preds[0]));
 }
 
 TEST_F(EvalNetTest, ForwardEncodedHardIsValidConfigEncoding) {
@@ -197,7 +197,8 @@ TEST_F(EvalNetTest, EmptyDatasetThrows) {
   evalnet::EvaluatorDataset empty;
   empty.arch_encoding_width = arch_space_.encoding_width();
   empty.hw_encoding_width = hw_space_.encoding_width();
-  EXPECT_THROW(evalnet::evaluate_hwgen_net(net, empty), std::invalid_argument);
+  EXPECT_THROW((void)evalnet::evaluate_hwgen_net(net, empty),
+               std::invalid_argument);
 }
 
 }  // namespace

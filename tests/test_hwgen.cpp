@@ -49,10 +49,11 @@ TEST(HwSearchSpace, ValueIndexRoundTrip) {
 
 TEST(HwSearchSpace, OutOfRangeThrows) {
   HwSearchSpace space;
-  EXPECT_THROW(space.pe_index(7), std::out_of_range);
-  EXPECT_THROW(space.pe_index(25), std::out_of_range);
-  EXPECT_THROW(space.rf_index(5), std::out_of_range);  // not a multiple of step
-  EXPECT_THROW(space.config_at(space.size()), std::out_of_range);
+  EXPECT_THROW((void)space.pe_index(7), std::out_of_range);
+  EXPECT_THROW((void)space.pe_index(25), std::out_of_range);
+  // 5 is not a multiple of the RF step.
+  EXPECT_THROW((void)space.rf_index(5), std::out_of_range);
+  EXPECT_THROW((void)space.config_at(space.size()), std::out_of_range);
 }
 
 TEST(HwSearchSpace, EncodeIsFourHot) {
@@ -114,7 +115,7 @@ TEST(ExhaustiveSearch, EmptyNetworkThrows) {
   HwSearchSpace space;
   accel::CostModel model;
   ExhaustiveSearch search(space, model);
-  EXPECT_THROW(search.run({}, accel::edap_cost()), std::invalid_argument);
+  EXPECT_THROW((void)search.run({}, accel::edap_cost()), std::invalid_argument);
 }
 
 TEST(CoordinateDescent, NeverBeatsExhaustiveAndIsClose) {

@@ -71,7 +71,7 @@ TEST_F(HeuristicSearchTest, AnnealingRespectsSpaceBounds) {
   util::Rng rng(8);
   SimulatedAnnealing sa(space_, model_, {.steps = 200});
   const HwSearchResult r = sa.run(tiny_network(), cost_fn_, rng);
-  EXPECT_NO_THROW(space_.index_of(r.config));
+  EXPECT_NO_THROW((void)space_.index_of(r.config));
 }
 
 TEST_F(HeuristicSearchTest, BadOptionsThrow) {
@@ -82,7 +82,7 @@ TEST_F(HeuristicSearchTest, BadOptionsThrow) {
                std::invalid_argument);
   util::Rng rng(1);
   RandomSearch rs(space_, model_, 4);
-  EXPECT_THROW(rs.run({}, cost_fn_, rng), std::invalid_argument);
+  EXPECT_THROW((void)rs.run({}, cost_fn_, rng), std::invalid_argument);
 }
 
 TEST(CostBreakdown, TotalsAgreeWithLayerCost) {

@@ -53,10 +53,15 @@ struct OutcomeSet {
   std::string show() const {
     std::string out = "[";
     for (const auto& o : outcomes) {
-      const auto obj = search::objectives(o);
-      out += "(" + std::to_string(obj[0]) + "," + std::to_string(obj[1]) +
-             "," + std::to_string(obj[2]) + "," + std::to_string(obj[3]) +
-             ") ";
+      // Appended piecewise: a chained operator+ here trips a GCC 12
+      // -Wrestrict false positive (GCC bug 105329).
+      const char* sep = "(";
+      for (const double v : search::objectives(o)) {
+        out += sep;
+        out += std::to_string(v);
+        sep = ",";
+      }
+      out += ") ";
     }
     return out + "]";
   }

@@ -73,9 +73,10 @@ TEST(SystolicSim, RejectsInvalidInputs) {
   AcceleratorConfig cfg;
   ConvShape bad = medium_conv();
   bad.h = 0;
-  EXPECT_THROW(sim.simulate_layer(cfg, bad), std::invalid_argument);
+  EXPECT_THROW((void)sim.simulate_layer(cfg, bad), std::invalid_argument);
   cfg.pe_x = 0;
-  EXPECT_THROW(sim.simulate_layer(cfg, medium_conv()), std::invalid_argument);
+  EXPECT_THROW((void)sim.simulate_layer(cfg, medium_conv()),
+               std::invalid_argument);
 }
 
 TEST(SystolicSim, DepthwisePunishedOnWeightStationary) {

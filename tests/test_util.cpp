@@ -5,9 +5,11 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "util/csv.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -190,6 +192,24 @@ TEST(Csv, WritesHeaderAndRows) {
   std::getline(in, line);
   EXPECT_EQ(line, "1,2");
   std::filesystem::remove(path);
+}
+
+TEST(Hash, Fnv1aKnownAnswers) {
+  const auto hash = [](std::string_view s, std::uint64_t basis) {
+    return fnv1a(s.data(), s.size(), basis);
+  };
+  // The published 64-bit FNV-1a test vectors.
+  EXPECT_EQ(hash("", kFnv1aBasis), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(hash("a", kFnv1aBasis), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(hash("foobar", kFnv1aBasis), 0x85944171f73967e8ULL);
+  EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ULL);  // default basis
+  // The stored-artifact basis: the same recurrence from another start.
+  EXPECT_EQ(hash("", kFnv1aStoredBasis), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(hash("a", kFnv1aStoredBasis), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(hash("foobar", kFnv1aStoredBasis), 0x88fad7c0a8ff07f2ULL);
+  // Hashing piecewise continues from the previous result.
+  EXPECT_EQ(hash("bar", hash("foo", kFnv1aBasis)),
+            hash("foobar", kFnv1aBasis));
 }
 
 TEST(Parallel, CoversWholeRangeOnce) {
