@@ -21,4 +21,19 @@ void Module::zero_grad() {
   for (auto& p : parameters()) p.zero_grad();
 }
 
+FrozenScope::FrozenScope(std::vector<Variable> params)
+    : params_(std::move(params)) {
+  previous_.reserve(params_.size());
+  for (auto& p : params_) {
+    previous_.push_back(p.requires_grad());
+    p.node()->requires_grad = false;
+  }
+}
+
+FrozenScope::~FrozenScope() {
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    params_[i].node()->requires_grad = previous_[i];
+  }
+}
+
 }  // namespace dance::nn

@@ -56,4 +56,22 @@ class Module {
   bool training_ = true;
 };
 
+/// RAII freeze of a parameter set: clears `requires_grad` on every parameter
+/// for the scope's lifetime and restores each one's previous flag on exit,
+/// also when an exception unwinds. Backward stops at frozen leaves, so their
+/// `.grad` is left untouched and no gradient work is spent on them. Like
+/// evalnet::Evaluator::set_frozen, this writes the flags, so a parameter set
+/// must not be frozen from two threads at once.
+class FrozenScope {
+ public:
+  explicit FrozenScope(std::vector<Variable> params);
+  ~FrozenScope();
+  FrozenScope(const FrozenScope&) = delete;
+  FrozenScope& operator=(const FrozenScope&) = delete;
+
+ private:
+  std::vector<Variable> params_;
+  std::vector<bool> previous_;
+};
+
 }  // namespace dance::nn

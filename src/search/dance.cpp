@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "nn/module.h"
 #include "nn/optim.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -111,6 +112,11 @@ SearchOutcome DanceSearch::run() {
       // --- Architecture step: Eq. 1 through the evaluator. ---
       if (batch_index % period == 0) {
         DANCE_PROFILE_SCOPE("dance.arch_step");
+        // Only alpha is updated here, and the next weight step zeroes the
+        // weight gradients before its own backward: freezing the weights
+        // stops this backward at them instead of computing gradients that
+        // would be discarded. The arch gradients are unchanged.
+        const nn::FrozenScope frozen_weights(supernet.weight_parameters());
         Variable logits;
         Variable enc;
         if (opts_.arch_update == ArchUpdate::kBinarizedTwoPath) {
@@ -148,7 +154,6 @@ SearchOutcome DanceSearch::run() {
         arch_loss_sum += loss.value()[0];
         ++arch_steps;
         arch_opt.zero_grad();
-        for (auto& w : supernet.weight_parameters()) w.zero_grad();
         loss.backward();
         arch_opt.step();
       }

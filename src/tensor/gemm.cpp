@@ -15,6 +15,8 @@ constexpr long kRowBlock = 32;
 /// kk-tile height: kKBlock rows of B (kKBlock * m floats) form the resident
 /// tile. For the evaluator widths (m <= 256) this is at most 32 KiB.
 constexpr int kKBlock = 32;
+/// Square tile of `transpose`: 32 x 32 floats read and written per tile.
+constexpr int kTransposeTile = 32;
 
 /// Pool grain matching the historical matmul grain: ~64k multiply-adds per
 /// chunk so narrow products don't over-schedule.
@@ -27,6 +29,21 @@ bool all_finite(const float* p, std::size_t count) {
     if (!std::isfinite(p[i])) return false;
   }
   return true;
+}
+
+void transpose(const float* src, float* dst, int rows, int cols) {
+  for (int r0 = 0; r0 < rows; r0 += kTransposeTile) {
+    const int r1 = std::min(r0 + kTransposeTile, rows);
+    for (int c0 = 0; c0 < cols; c0 += kTransposeTile) {
+      const int c1 = std::min(c0 + kTransposeTile, cols);
+      for (int r = r0; r < r1; ++r) {
+        const float* srow = src + static_cast<std::ptrdiff_t>(r) * cols;
+        for (int c = c0; c < c1; ++c) {
+          dst[static_cast<std::ptrdiff_t>(c) * rows + r] = srow[c];
+        }
+      }
+    }
+  }
 }
 
 void gemm_rows(const float* a, const float* b, float* c, long row_lo,

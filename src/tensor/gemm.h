@@ -5,9 +5,12 @@
 namespace dance::tensor::gemm {
 
 /// Blocked, cache-tiled single-precision GEMM shared by the autograd matmul
-/// forward (tensor::ops::matmul) and the frozen-inference plan executor
-/// (dance::infer). Keeping one kernel is what makes the fused inference path
-/// bit-identical to the autograd path by construction.
+/// (tensor::ops::matmul, forward and both backward products) and the
+/// frozen-inference plan executor (dance::infer). Keeping one kernel is what
+/// makes the fused inference path bit-identical to the autograd path by
+/// construction. The backward products run it on transposed copies (see
+/// `transpose`) rather than through transposed-operand variants, so there is
+/// one accumulation order to reason about.
 ///
 /// Semantics: C += A * B for row-major A [n, k], B [k, m], C [n, m]. The
 /// caller zero-initializes C (or passes a partial sum to accumulate into).
@@ -33,6 +36,10 @@ void gemm(const float* a, const float* b, float* c, int n, int k, int m);
 
 /// True iff every element is finite (no NaN / ±inf).
 [[nodiscard]] bool all_finite(const float* p, std::size_t count);
+
+/// Writes the transpose of row-major `src [rows, cols]` into `dst [cols,
+/// rows]`. Pure copies in cache-sized tiles; `dst` must not alias `src`.
+void transpose(const float* src, float* dst, int rows, int cols);
 
 /// Serial single-range variant: computes rows [row_lo, row_hi) of C on the
 /// calling thread with the same blocking and accumulation order as `gemm`.

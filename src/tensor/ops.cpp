@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "runtime/profiler.h"
 #include "tensor/gemm.h"
@@ -202,47 +203,30 @@ Variable matmul(const Variable& a, const Variable& b) {
     auto& pa = self.parents[0];
     auto& pb = self.parents[1];
     const float* g = self.grad.data();
+    // Both products run on the shared kernel over transposed copies, so each
+    // gradient element sums its products in the same ascending order as the
+    // textbook loops (tests/test_property_tensor_backward.cpp keeps those
+    // loops as the oracle).
     if (wants(pa)) {
-      // dA = dC * B^T (rows of dA are independent -> parallel over i)
-      const float* bv = pb->value.data();
+      // dA = dC * B^T. Each element sums its m products from +0 and lands
+      // in the gradient with a single add: accumulating straight into `ga`
+      // would regroup the additions whenever it already holds a partial sum
+      // (a Variable feeding two ops). The kernel's zero-skip on dC is gated
+      // on all_finite(B^T), so 0 * NaN in B still poisons dA.
+      std::vector<float> bt(static_cast<std::size_t>(m) * static_cast<std::size_t>(k));
+      gemm::transpose(pb->value.data(), bt.data(), k, m);
+      std::vector<float> prod(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
+      gemm::gemm(g, bt.data(), prod.data(), n, m, k);
       float* ga = pa->grad.data();
-      util::parallel_for(0, n, [&](long lo, long hi) {
-        for (long i = lo; i < hi; ++i) {
-          for (int kk = 0; kk < k; ++kk) {
-            const float* brow = bv + static_cast<std::ptrdiff_t>(kk) * m;
-            const float* grow = g + static_cast<std::ptrdiff_t>(i) * m;
-            float acc = 0.0F;
-            for (int j = 0; j < m; ++j) acc += grow[j] * brow[j];
-            ga[i * k + kk] += acc;
-          }
-        }
-      }, /*grain=*/std::max(1L, 65536L / std::max(1, k * m)));
+      for (std::size_t i = 0; i < prod.size(); ++i) ga[i] += prod[i];
     }
     if (wants(pb)) {
-      // dB = A^T * dC (rows of dB are independent -> parallel over kk)
-      const float* av = pa->value.data();
-      float* gb = pb->grad.data();
-      // Mirror of the forward zero-skip: dropping `a_ik * grow` for a zero
-      // activation is only sound while the upstream gradient is entirely
-      // finite — 0 * NaN must poison dB, not disappear.
-      bool g_finite = true;
-      for (std::size_t i = 0; i < self.grad.numel(); ++i) {
-        if (!std::isfinite(g[i])) {
-          g_finite = false;
-          break;
-        }
-      }
-      util::parallel_for(0, k, [&](long lo, long hi) {
-        for (long kk = lo; kk < hi; ++kk) {
-          float* gbrow = gb + static_cast<std::ptrdiff_t>(kk) * m;
-          for (int i = 0; i < n; ++i) {
-            const float a_ik = av[static_cast<std::ptrdiff_t>(i) * k + kk];
-            if (a_ik == 0.0F && g_finite) continue;
-            const float* grow = g + static_cast<std::ptrdiff_t>(i) * m;
-            for (int j = 0; j < m; ++j) gbrow[j] += a_ik * grow[j];
-          }
-        }
-      }, /*grain=*/std::max(1L, 65536L / std::max(1, n * m)));
+      // dB = A^T * dC, accumulated straight into `gb` in ascending-i order.
+      // The kernel's zero-skip of a_ik == 0 is gated on all_finite(dC):
+      // 0 * NaN must poison dB, not disappear.
+      std::vector<float> at(static_cast<std::size_t>(k) * static_cast<std::size_t>(n));
+      gemm::transpose(pa->value.data(), at.data(), n, k);
+      gemm::gemm(at.data(), g, pb->grad.data(), k, n, m);
     }
   });
 }
@@ -538,27 +522,34 @@ Variable batchnorm(const Variable& x, const Variable& gamma, const Variable& bet
   DANCE_PROFILE_SCOPE("tensor.batchnorm");
   auto mean = std::make_shared<Tensor>(std::vector<int>{d});
   auto inv_std = std::make_shared<Tensor>(std::vector<int>{d});
-  // Columns are independent: each lane reduces whole columns and writes the
-  // per-column statistics (including the running buffers) disjointly.
+  // Columns are independent: each lane owns a block of columns and sweeps
+  // its rows in ascending order, so every column sums in the same order as
+  // a scalar per-column loop while the inner loop stays contiguous. Lanes
+  // write their columns' statistics (including the running buffers)
+  // disjointly.
   if (training) {
+    const float* xv = x.value().data();
+    float* mv = mean->data();
+    float* sv = inv_std->data();  // holds the variance sums until the end
     util::parallel_for(0, d, [&](long lo, long hi) {
-      for (long c = lo; c < hi; ++c) {
-        const int ci = static_cast<int>(c);
-        float m = 0.0F;
-        for (int r = 0; r < n; ++r) m += x.value().at(r, ci);
-        m /= static_cast<float>(n);
-        float v = 0.0F;
-        for (int r = 0; r < n; ++r) {
-          const float dd = x.value().at(r, ci) - m;
-          v += dd * dd;
+      for (int r = 0; r < n; ++r) {
+        const float* xr = xv + static_cast<std::ptrdiff_t>(r) * d;
+        for (long c = lo; c < hi; ++c) mv[c] += xr[c];
+      }
+      for (long c = lo; c < hi; ++c) mv[c] /= static_cast<float>(n);
+      for (int r = 0; r < n; ++r) {
+        const float* xr = xv + static_cast<std::ptrdiff_t>(r) * d;
+        for (long c = lo; c < hi; ++c) {
+          const float dd = xr[c] - mv[c];
+          sv[c] += dd * dd;
         }
-        v /= static_cast<float>(n);
-        (*mean)[static_cast<std::size_t>(c)] = m;
-        (*inv_std)[static_cast<std::size_t>(c)] = 1.0F / std::sqrt(v + eps);
-        running_mean[static_cast<std::size_t>(c)] =
-            (1.0F - momentum) * running_mean[static_cast<std::size_t>(c)] + momentum * m;
-        running_var[static_cast<std::size_t>(c)] =
-            (1.0F - momentum) * running_var[static_cast<std::size_t>(c)] + momentum * v;
+      }
+      for (long c = lo; c < hi; ++c) {
+        const auto ci = static_cast<std::size_t>(c);
+        const float v = sv[c] / static_cast<float>(n);
+        sv[c] = 1.0F / std::sqrt(v + eps);
+        running_mean[ci] = (1.0F - momentum) * running_mean[ci] + momentum * mv[c];
+        running_var[ci] = (1.0F - momentum) * running_var[ci] + momentum * v;
       }
     }, row_grain(n));
   } else {
@@ -592,33 +583,41 @@ Variable batchnorm(const Variable& x, const Variable& gamma, const Variable& bet
         auto& px = self.parents[0];
         auto& pg = self.parents[1];
         auto& pb = self.parents[2];
+        const float* g = self.grad.data();
+        const float* xh = x_hat->data();
+        // Per-column sums of dy and dy * x_hat, swept row-major like the
+        // forward statistics: each column still adds its rows in ascending
+        // order.
+        std::vector<float> sums(2 * static_cast<std::size_t>(d));
+        float* sum_dy = sums.data();
+        float* sum_dy_xhat = sum_dy + d;
         util::parallel_for(0, d, [&](long lo, long hi) {
-          for (long cc = lo; cc < hi; ++cc) {
-            const int c = static_cast<int>(cc);
-            float sum_dy = 0.0F;
-            float sum_dy_xhat = 0.0F;
-            for (int r = 0; r < n; ++r) {
-              sum_dy += self.grad.at(r, c);
-              sum_dy_xhat += self.grad.at(r, c) * x_hat->at(r, c);
+          for (int r = 0; r < n; ++r) {
+            const float* gr = g + static_cast<std::ptrdiff_t>(r) * d;
+            const float* xr = xh + static_cast<std::ptrdiff_t>(r) * d;
+            for (long c = lo; c < hi; ++c) {
+              sum_dy[c] += gr[c];
+              sum_dy_xhat[c] += gr[c] * xr[c];
             }
-            if (wants(pg)) pg->grad[static_cast<std::size_t>(c)] += sum_dy_xhat;
-            if (wants(pb)) pb->grad[static_cast<std::size_t>(c)] += sum_dy;
-            if (wants(px)) {
-              const float gamma_c = pg->value[static_cast<std::size_t>(c)];
-              const float istd = (*inv_std)[static_cast<std::size_t>(c)];
-              if (training) {
-                const float inv_n = 1.0F / static_cast<float>(n);
-                for (int r = 0; r < n; ++r) {
-                  px->grad.at(r, c) +=
-                      gamma_c * istd *
-                      (self.grad.at(r, c) - inv_n * sum_dy -
-                       inv_n * x_hat->at(r, c) * sum_dy_xhat);
-                }
-              } else {
-                for (int r = 0; r < n; ++r) {
-                  px->grad.at(r, c) += gamma_c * istd * self.grad.at(r, c);
-                }
-              }
+          }
+          for (long c = lo; c < hi; ++c) {
+            const auto ci = static_cast<std::size_t>(c);
+            if (wants(pg)) pg->grad[ci] += sum_dy_xhat[c];
+            if (wants(pb)) pb->grad[ci] += sum_dy[c];
+          }
+          if (!wants(px)) return;
+          const float* gamma = pg->value.data();
+          const float* istd = inv_std->data();
+          const float inv_n = 1.0F / static_cast<float>(n);
+          for (int r = 0; r < n; ++r) {
+            const float* gr = g + static_cast<std::ptrdiff_t>(r) * d;
+            const float* xr = xh + static_cast<std::ptrdiff_t>(r) * d;
+            float* gx = px->grad.data() + static_cast<std::ptrdiff_t>(r) * d;
+            for (long c = lo; c < hi; ++c) {
+              const float dy = training ? gr[c] - inv_n * sum_dy[c] -
+                                              inv_n * xr[c] * sum_dy_xhat[c]
+                                        : gr[c];
+              gx[c] += gamma[c] * istd[c] * dy;
             }
           }
         }, row_grain(n));

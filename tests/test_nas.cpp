@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "nas/fixed_net.h"
 #include "nas/supernet.h"
 #include "nas/trainer.h"
+#include "nn/module.h"
 
 namespace {
 
@@ -148,6 +152,60 @@ TEST(SuperNet, TwoPathForwardAndEncodingGradients) {
     }
   }
   EXPECT_TRUE(any);
+}
+
+std::vector<Tensor> grads_of(const std::vector<Variable>& params) {
+  std::vector<Tensor> out;
+  for (const auto& p : params) out.push_back(p.grad());
+  return out;
+}
+
+bool same_bits(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!a[i].same_shape(b[i]) ||
+        std::memcmp(a[i].data(), b[i].data(), a[i].numel() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SuperNet, FrozenWeightsArchStepKeepsArchGradsAndSkipsWeightGrads) {
+  // DanceSearch::run takes its arch step under an nn::FrozenScope over the
+  // supernet weights. The arch gradients must be bit-identical to an
+  // unfrozen backward, the weight gradients must be left exactly as they
+  // were, and every weight must be trainable again once the scope ends.
+  util::Rng rng(11);
+  nas::SuperNet net(tiny_config(), rng);
+  const Variable x(Tensor::randn({6, 8}, rng));
+  const std::vector<int> labels{0, 1, 2, 3, 0, 1};
+  const auto arch_step = [&] {
+    for (auto& a : net.arch_parameters()) a.zero_grad();
+    tensor::ops::cross_entropy(net.forward(x, net.softmax_gates()), labels)
+        .backward();
+    return grads_of(net.arch_parameters());
+  };
+  const std::vector<Tensor> unfrozen = arch_step();
+  // The unfrozen step also left non-zero weight gradients; a frozen step
+  // that still reached the weights would add to them.
+  const std::vector<Tensor> weight_grads = grads_of(net.weight_parameters());
+  bool any = false;
+  for (const auto& g : weight_grads) {
+    for (std::size_t i = 0; i < g.numel(); ++i) any |= g[i] != 0.0F;
+  }
+  ASSERT_TRUE(any);
+
+  std::vector<Tensor> frozen;
+  {
+    const nn::FrozenScope scope(net.weight_parameters());
+    for (const auto& w : net.weight_parameters()) EXPECT_FALSE(w.requires_grad());
+    frozen = arch_step();
+  }
+  EXPECT_TRUE(same_bits(frozen, unfrozen));
+  EXPECT_TRUE(same_bits(grads_of(net.weight_parameters()), weight_grads));
+  for (const auto& w : net.weight_parameters()) EXPECT_TRUE(w.requires_grad());
+  for (const auto& a : net.arch_parameters()) EXPECT_TRUE(a.requires_grad());
 }
 
 TEST(SuperNet, RejectsWrongGateCount) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "nn/batchnorm.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
+#include "nn/module.h"
 #include "nn/optim.h"
 
 namespace {
@@ -260,5 +262,20 @@ TEST_P(MlpGradParam, GradientMatchesNumeric) {
 INSTANTIATE_TEST_SUITE_P(DepthsAndNorm, MlpGradParam,
                          ::testing::Combine(::testing::Values(2, 3, 5),
                                             ::testing::Bool()));
+
+TEST(FrozenScope, RestoresEachFlagWhenUnwinding) {
+  // An exception inside the scope (say, a failing arch step) must not leave
+  // the parameters frozen, and a parameter that was already frozen stays so.
+  Variable trainable(Tensor::zeros({2}), true);
+  Variable constant(Tensor::zeros({2}), false);
+  try {
+    const dance::nn::FrozenScope scope({trainable, constant});
+    EXPECT_FALSE(trainable.requires_grad());
+    throw std::runtime_error("arch step failed");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_TRUE(trainable.requires_grad());
+  EXPECT_FALSE(constant.requires_grad());
+}
 
 }  // namespace

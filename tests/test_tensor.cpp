@@ -107,6 +107,20 @@ TEST(Autograd, MatmulBackwardPropagatesNaNGradPastZeroActivations) {
   EXPECT_TRUE(std::isnan(b.grad()[1]));
 }
 
+TEST(Autograd, MatmulBackwardPropagatesNaNWeightPastZeroGradients) {
+  // The dA counterpart of the test above: dA runs the blocked GEMM, whose
+  // zero-skip drops zero upstream-gradient terms. That skip must stay gated
+  // on B being finite, so a zero gradient times a NaN weight still poisons
+  // dA. scale-by-0 seeds an all-zero upstream gradient.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Variable a(Tensor::from({1, 2}, {1.0F, 2.0F}), true);
+  Variable b(Tensor::from({2, 1}, {nan, 4.0F}), false);
+  Variable s = ops::sum_all(ops::scale(ops::matmul(a, b), 0.0F));
+  s.backward();
+  EXPECT_TRUE(std::isnan(a.grad()[0]));  // 0 * NaN
+  EXPECT_EQ(a.grad()[1], 0.0F);          // 0 * 4
+}
+
 TEST(Autograd, ReluMasksNegative) {
   Variable a(Tensor::from({1, 3}, {-1.0F, 0.5F, 2.0F}), true);
   Variable r = ops::relu(a);
