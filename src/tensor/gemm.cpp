@@ -46,8 +46,17 @@ void transpose(const float* src, float* dst, int rows, int cols) {
   }
 }
 
+// AVX2 and baseline clones of one source, picked once per process by an
+// ifunc resolver; why both round alike is in the contract in gemm.h. Under
+// -fsanitize=thread GCC instruments the resolver itself, which then calls
+// the TSan runtime before the loader has bound it and crashes at start-up,
+// so thread-sanitized builds keep the baseline body alone.
+#if !defined(__SANITIZE_THREAD__)
+__attribute__((target_clones("avx2", "default")))
+#endif
 void gemm_rows(const float* a, const float* b, float* c, long row_lo,
                long row_hi, int k, int m, bool b_finite) {
+  int live[kKBlock] = {};
   for (long i0 = row_lo; i0 < row_hi; i0 += kRowBlock) {
     const long i1 = std::min(i0 + kRowBlock, row_hi);
     for (int k0 = 0; k0 < k; k0 += kKBlock) {
@@ -55,10 +64,34 @@ void gemm_rows(const float* a, const float* b, float* c, long row_lo,
       for (long i = i0; i < i1; ++i) {
         const float* arow = a + i * k;
         float* crow = c + i * m;
+        int n_live = 0;
         for (int kk = k0; kk < k1; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0F && b_finite) continue;
-          const float* brow = b + static_cast<std::ptrdiff_t>(kk) * m;
+          if (arow[kk] != 0.0F || !b_finite) live[n_live++] = kk;
+        }
+        // Four live terms per pass keep C in registers across them; each
+        // element still adds its products one at a time in ascending kk.
+        int t = 0;
+        for (; t + 4 <= n_live; t += 4) {
+          const float a0 = arow[live[t]];
+          const float a1 = arow[live[t + 1]];
+          const float a2 = arow[live[t + 2]];
+          const float a3 = arow[live[t + 3]];
+          const float* b0 = b + static_cast<std::ptrdiff_t>(live[t]) * m;
+          const float* b1 = b + static_cast<std::ptrdiff_t>(live[t + 1]) * m;
+          const float* b2 = b + static_cast<std::ptrdiff_t>(live[t + 2]) * m;
+          const float* b3 = b + static_cast<std::ptrdiff_t>(live[t + 3]) * m;
+          for (int j = 0; j < m; ++j) {
+            float acc = crow[j];
+            acc += a0 * b0[j];
+            acc += a1 * b1[j];
+            acc += a2 * b2[j];
+            acc += a3 * b3[j];
+            crow[j] = acc;
+          }
+        }
+        for (; t < n_live; ++t) {
+          const float av = arow[live[t]];
+          const float* brow = b + static_cast<std::ptrdiff_t>(live[t]) * m;
           for (int j = 0; j < m; ++j) crow[j] += av * brow[j];
         }
       }

@@ -19,8 +19,16 @@ namespace dance::tensor::gemm {
 ///   * Each C element accumulates its k products in ascending-kk order, the
 ///     same order as the textbook i/kk/j triple loop, so the blocked kernel
 ///     is bit-identical to the naive one. Blocking only re-tiles the i and
-///     kk loops for cache locality; it never reorders the additions that
+///     kk loops for cache locality, and the inner loop keeps C in registers
+///     across four kk terms at a time; neither reorders the additions that
 ///     land in one element.
+///   * `gemm_rows` is one source compiled as two target clones (AVX2 and
+///     baseline; thread-sanitized builds keep the baseline alone). An ifunc
+///     resolver picks one per process, and every caller reaches the kernel
+///     through it, so the fused tier and autograd always run the same clone.
+///     src/ builds with -ffp-contract=off, so no clone fuses a multiply
+///     into an add (CI checks the objects for FMA), and both clones round
+///     each element as scalar code does.
 ///   * Rows of C are computed independently and the kernel parallelizes over
 ///     row ranges on runtime::global_pool(), so results are bit-identical to
 ///     a serial run at any thread count (the pool's static-partitioning

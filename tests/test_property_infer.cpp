@@ -6,7 +6,8 @@
 //    contract that lets serve swap tiers without invalidating its cache.
 //  * infer_gemm — the blocked, cache-tiled GEMM is bit-identical to the
 //    naive triple loop over randomized shapes and values, including the
-//    zero-skip/non-finite-B poisoning corner.
+//    zero-skip/non-finite-B poisoning corner, -0 partial sums, all-zero A
+//    rows and direct gemm_rows calls on unaligned row ranges.
 //  * infer_hammer — concurrent Plan::run calls with per-thread Arenas are
 //    race-free (TSan) and bit-identical to a serial reference.
 //
@@ -173,6 +174,13 @@ struct GemmCase {
   int n = 1, k = 1, m = 1;
   bool poison_b = false;   ///< inject a non-finite into B
   float zero_frac = 0.0F;  ///< fraction of A entries forced to 0
+  float zero_row_frac = 0.0F;  ///< fraction of A rows forced all-zero
+  bool seed_c = false;     ///< start C from a partial sum with -0 entries
+  /// Call gemm_rows on rows [lo, hi) with `b_finite` as given, instead of
+  /// gemm, which scans B and covers every row.
+  bool direct = false;
+  int lo = 0, hi = 1;
+  bool b_finite = true;
   std::uint64_t seed = 1;
 
   [[nodiscard]] std::string to_string() const {
@@ -180,6 +188,11 @@ struct GemmCase {
            " m=" + std::to_string(m) +
            " poison_b=" + std::to_string(poison_b) +
            " zero_frac=" + std::to_string(zero_frac) +
+           " zero_row_frac=" + std::to_string(zero_row_frac) +
+           " seed_c=" + std::to_string(seed_c) +
+           " direct=" + std::to_string(direct) +
+           " rows=[" + std::to_string(lo) + "," + std::to_string(hi) + ")" +
+           " b_finite=" + std::to_string(b_finite) +
            " seed=" + std::to_string(seed);
   }
 };
@@ -188,21 +201,38 @@ testing_::Generator<GemmCase> gemm_gen() {
   testing_::Generator<GemmCase> gen;
   gen.sample = [](util::Rng& rng) {
     GemmCase c;
-    // Straddle the 32x32 block boundaries: sizes up to 70.
+    // Straddle the 32-row and 32-kk block boundaries and the 8-lane vector
+    // width: k up to 100 leaves 0-3 live terms after the groups of four.
     c.n = rng.randint(1, 70);
-    c.k = rng.randint(1, 70);
-    c.m = rng.randint(1, 40);
+    c.k = rng.randint(1, 100);
+    c.m = rng.randint(1, 70);
     c.poison_b = rng.randint(0, 4) == 0;
-    c.zero_frac = rng.uniform(0.0F, 0.6F);
+    c.zero_frac = rng.uniform(0.0F, 0.9F);
+    c.zero_row_frac = rng.randint(0, 1) == 0 ? 0.0F : rng.uniform(0.0F, 0.5F);
+    c.seed_c = rng.randint(0, 1) == 1;
+    c.direct = rng.randint(0, 1) == 1;
+    c.lo = rng.randint(0, c.n - 1);
+    c.hi = rng.randint(c.lo + 1, c.n);
+    // A finite B may still be passed as "not known finite", which disables
+    // the zero-skip; a non-finite B must never be passed as finite.
+    c.b_finite = !c.poison_b && rng.randint(0, 1) == 1;
     c.seed = static_cast<std::uint64_t>(rng.randint(1, 1 << 30));
     return c;
   };
   gen.shrink = [](const GemmCase& c) {
     std::vector<GemmCase> out;
-    if (c.n > 1) { auto v = c; v.n = std::max(1, c.n / 2); out.push_back(v); }
+    if (c.n > 1) {
+      auto v = c;
+      v.n = std::max(1, c.n / 2);
+      v.hi = std::min(c.hi, v.n);
+      v.lo = std::min(c.lo, v.hi - 1);
+      out.push_back(v);
+    }
     if (c.k > 1) { auto v = c; v.k = std::max(1, c.k / 2); out.push_back(v); }
     if (c.m > 1) { auto v = c; v.m = std::max(1, c.m / 2); out.push_back(v); }
     if (c.poison_b) { auto v = c; v.poison_b = false; out.push_back(v); }
+    if (c.seed_c) { auto v = c; v.seed_c = false; out.push_back(v); }
+    if (c.direct) { auto v = c; v.direct = false; out.push_back(v); }
     return out;
   };
   gen.show = [](const GemmCase& c) { return c.to_string(); };
@@ -216,8 +246,12 @@ TEST(infer_gemm, BlockedBitIdenticalToNaive) {
         util::Rng rng(c.seed);
         std::vector<float> a(static_cast<std::size_t>(c.n) * c.k);
         std::vector<float> b(static_cast<std::size_t>(c.k) * c.m);
-        for (auto& v : a) {
-          v = rng.uniform() < c.zero_frac ? 0.0F : rng.normal();
+        for (int i = 0; i < c.n; ++i) {
+          const bool zero_row = rng.uniform() < c.zero_row_frac;
+          for (int kk = 0; kk < c.k; ++kk) {
+            a[static_cast<std::size_t>(i) * c.k + kk] =
+                zero_row || rng.uniform() < c.zero_frac ? 0.0F : rng.normal();
+          }
         }
         for (auto& v : b) v = rng.normal();
         if (c.poison_b && !b.empty()) {
@@ -227,14 +261,27 @@ TEST(infer_gemm, BlockedBitIdenticalToNaive) {
                       ? std::numeric_limits<float>::quiet_NaN()
                       : std::numeric_limits<float>::infinity();
         }
+        // -0 + +0 is +0, so a -0 partial sum flips its sign bit when a
+        // kernel adds a zero product the naive loop skips, or skips one
+        // it adds.
+        std::vector<float> c0(static_cast<std::size_t>(c.n) * c.m, 0.0F);
+        if (c.seed_c) {
+          for (auto& v : c0) {
+            const int pick = rng.randint(0, 3);
+            v = pick == 0 ? -0.0F : pick == 1 ? 0.0F : rng.normal();
+          }
+        }
+        const long lo = c.direct ? c.lo : 0;
+        const long hi = c.direct ? c.hi : c.n;
+        const bool skip = c.direct ? c.b_finite : !c.poison_b;
 
-        // Naive i/kk/j reference WITHOUT zero-skip: the historical autograd
-        // semantics the kernel must reproduce — including 0 * NaN poison.
-        std::vector<float> ref(static_cast<std::size_t>(c.n) * c.m, 0.0F);
-        for (int i = 0; i < c.n; ++i) {
+        // Naive i/kk/j reference: the zero-skip applies exactly when the
+        // kernel was told B is finite, so 0 * NaN still poisons C.
+        std::vector<float> ref = c0;
+        for (long i = lo; i < hi; ++i) {
           for (int kk = 0; kk < c.k; ++kk) {
             const float av = a[static_cast<std::size_t>(i) * c.k + kk];
-            if (av == 0.0F && !c.poison_b) continue;  // matches kernel's skip
+            if (av == 0.0F && skip) continue;
             for (int j = 0; j < c.m; ++j) {
               ref[static_cast<std::size_t>(i) * c.m + j] +=
                   av * b[static_cast<std::size_t>(kk) * c.m + j];
@@ -242,8 +289,13 @@ TEST(infer_gemm, BlockedBitIdenticalToNaive) {
           }
         }
 
-        std::vector<float> out(static_cast<std::size_t>(c.n) * c.m, 0.0F);
-        tensor::gemm::gemm(a.data(), b.data(), out.data(), c.n, c.k, c.m);
+        std::vector<float> out = c0;
+        if (c.direct) {
+          tensor::gemm::gemm_rows(a.data(), b.data(), out.data(), lo, hi,
+                                  c.k, c.m, c.b_finite);
+        } else {
+          tensor::gemm::gemm(a.data(), b.data(), out.data(), c.n, c.k, c.m);
+        }
         if (!bit_equal(ref.data(), out.data(), ref.size())) {
           return "blocked result differs from naive bits";
         }
