@@ -5,8 +5,7 @@
 // We time, on the same machine:
 //   - exhaustive hardware generation with direct cost-model evaluation,
 //     serial and on the runtime thread pool,
-//   - exhaustive generation through the per-layer cost LUT (serial + pool),
-//   - coordinate-descent hardware generation,
+//   - exhaustive generation through the full cost table (serial + pool),
 //   - hardware generation *network* inference.
 // Expected shape: the learned generator is orders of magnitude faster than
 // the exact search, which is the paper's argument for making it a network;
@@ -21,7 +20,6 @@
 #include "arch/cost_table.h"
 #include "evalnet/evaluator.h"
 #include "evalnet/hwgen_net.h"
-#include "hwgen/coordinate_descent.h"
 #include "hwgen/exhaustive.h"
 #include "infer/plan.h"
 #include "runtime/thread_pool.h"
@@ -139,16 +137,6 @@ void BM_CostTableBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostTableBuild)->Unit(benchmark::kMillisecond);
-
-void BM_CoordinateDescent(benchmark::State& state) {
-  Env& e = env();
-  hwgen::CoordinateDescent cd(e.hw_space, e.model, /*restarts=*/4);
-  const auto layers = e.arch_space.lower(e.arch_space.random(e.rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cd.run(layers, e.cost_fn));
-  }
-}
-BENCHMARK(BM_CoordinateDescent)->Unit(benchmark::kMillisecond);
 
 void BM_HwGenNetInference(benchmark::State& state) {
   Env& e = env();

@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
                    "bit-identical to in-memory table\n",
                    load_ms);
     }
-  } catch (const arch::ArtifactError& e) {
+  } catch (const util::ArtifactError& e) {
     std::fprintf(stderr, "[costtable_compile] %s\n", e.what());
     return 1;
   }

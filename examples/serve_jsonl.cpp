@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
   if (backend_name == "exact") {
     try {
       table = make_table();
-    } catch (const arch::ArtifactError& e) {
+    } catch (const util::ArtifactError& e) {
       std::fprintf(stderr,
                    "[serve_jsonl] cost-table load failed: %s (path=%s "
                    "offset=%zu expected=%016llx actual=%016llx)\n",

@@ -14,9 +14,10 @@ SystolicSimulator::SystolicSimulator(const TechnologyParams& tech)
 
 SystolicSimulator::Gemm SystolicSimulator::lower_to_gemm(
     const AcceleratorConfig& config, const ConvShape& s) {
-  // im2col: output pixels x filters, reduced over the receptive field.
+  // im2col: output pixels x one group's filters, reduced over the
+  // receptive field.
   const long pixels = static_cast<long>(s.n) * s.out_h() * s.out_w();
-  const long filters = s.k;
+  const long filters = s.k / s.groups;
   const long window = static_cast<long>(s.c_per_group()) * s.r * s.s;
 
   Gemm g;

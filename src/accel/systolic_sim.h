@@ -42,17 +42,19 @@ class SystolicSimulator {
 
   [[nodiscard]] const TechnologyParams& tech() const { return tech_; }
 
- private:
   struct Gemm {
     long m = 0;  ///< rows mapped to array rows
     long n = 0;  ///< cols mapped to array cols
     long k = 0;  ///< reduction (streamed through the array)
   };
 
-  /// im2col lowering + dataflow-dependent dimension assignment.
+  /// im2col lowering + dataflow-dependent dimension assignment. A grouped
+  /// layer lowers each group's filters and folds the groups into the
+  /// streamed dimension, so m * n * k == shape.macs() for every dataflow.
   [[nodiscard]] static Gemm lower_to_gemm(const AcceleratorConfig& config,
                                           const ConvShape& shape);
 
+ private:
   TechnologyParams tech_;
 };
 

@@ -8,11 +8,11 @@
 #include <cerrno>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/registry.h"
-#include "util/fs.h"
-#include "util/hash.h"
+#include "util/artifact.h"
 
 namespace dance::arch {
 
@@ -34,35 +34,10 @@ namespace {
 //   64  f64[]    fixed_cycles[C], fixed_energy[C], area[C],
 //                choice_cycles[S*O*C], choice_energy[S*O*C]
 // tail  u64      FNV-1a(bytes[0 .. 64+payload_bytes))
-constexpr char kMagic[4] = {'D', 'C', 'T', 'B'};
+constexpr std::string_view kMagic = "DCTB";
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 64;
-constexpr std::size_t kChecksumBytes = 8;
-
-template <typename T>
-void put_at(std::string& bytes, std::size_t off, T v) {
-  std::memcpy(bytes.data() + off, &v, sizeof(v));
-}
-
-template <typename T>
-T get_at(const char* data, std::size_t off) {
-  T v;
-  std::memcpy(&v, data + off, sizeof(v));
-  return v;
-}
 
 }  // namespace
-
-ArtifactError::ArtifactError(const std::string& message, std::string path,
-                             std::size_t offset,
-                             std::uint64_t expected_checksum,
-                             std::uint64_t actual_checksum)
-    : std::runtime_error("cost-table artifact " + path + ": " + message +
-                         " (offset " + std::to_string(offset) + ")"),
-      path_(std::move(path)),
-      offset_(offset),
-      expected_(expected_checksum),
-      actual_(actual_checksum) {}
 
 std::uint64_t save_cost_table(const TableCostProvider& table,
                               const std::string& path) {
@@ -73,44 +48,27 @@ std::uint64_t save_cost_table(const TableCostProvider& table,
   const std::size_t payload_bytes =
       (3 * configs + 2 * choice_count) * sizeof(double);
 
-  std::string bytes(kHeaderBytes + payload_bytes + kChecksumBytes, '\0');
-  std::memcpy(bytes.data(), kMagic, sizeof(kMagic));
-  put_at<std::uint32_t>(bytes, 4, kVersion);
-  put_at<std::uint32_t>(bytes, 8, static_cast<std::uint32_t>(view.slots));
-  put_at<std::uint32_t>(bytes, 12, kNumCandidateOps);
-  put_at<std::uint64_t>(bytes, 16, configs);
+  util::ArtifactWriter out;
+  out.bytes(kMagic.data(), kMagic.size());
+  out.put<std::uint32_t>(kVersion);
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(view.slots));
+  out.put<std::uint32_t>(kNumCandidateOps);
+  out.put<std::uint64_t>(configs);
   const hwgen::HwSearchSpace::Options& opts = table.hw_space().options();
-  put_at<std::int32_t>(bytes, 24, opts.pe_min);
-  put_at<std::int32_t>(bytes, 28, opts.pe_max);
-  put_at<std::int32_t>(bytes, 32, opts.rf_min);
-  put_at<std::int32_t>(bytes, 36, opts.rf_max);
-  put_at<std::int32_t>(bytes, 40, opts.rf_step);
-  put_at<std::uint32_t>(
-      bytes, 44, static_cast<std::uint32_t>(table.arch_space().encoding_width()));
-  put_at<double>(bytes, 48, view.clock_ghz);
-  put_at<std::uint64_t>(bytes, 56, payload_bytes);
-
-  char* payload = bytes.data() + kHeaderBytes;
-  const auto copy_array = [&payload](const double* src, std::size_t n) {
-    std::memcpy(payload, src, n * sizeof(double));
-    payload += n * sizeof(double);
-  };
-  copy_array(view.fixed_cycles, configs);
-  copy_array(view.fixed_energy, configs);
-  copy_array(view.area, configs);
-  copy_array(view.choice_cycles, choice_count);
-  copy_array(view.choice_energy, choice_count);
-
-  const std::uint64_t checksum =
-      util::fnv1a(bytes.data(), kHeaderBytes + payload_bytes,
-                  util::kFnv1aStoredBasis);
-  put_at<std::uint64_t>(bytes, kHeaderBytes + payload_bytes, checksum);
-
-  try {
-    util::atomic_write_file(path, bytes);
-  } catch (const std::runtime_error& e) {
-    throw ArtifactError(std::string("write failed: ") + e.what(), path);
+  for (const std::int32_t v :
+       {opts.pe_min, opts.pe_max, opts.rf_min, opts.rf_max, opts.rf_step}) {
+    out.put(v);
   }
+  out.put<std::uint32_t>(
+      static_cast<std::uint32_t>(table.arch_space().encoding_width()));
+  out.put<double>(view.clock_ghz);
+  out.put<std::uint64_t>(payload_bytes);
+  out.bytes(view.fixed_cycles, configs * sizeof(double));
+  out.bytes(view.fixed_energy, configs * sizeof(double));
+  out.bytes(view.area, configs * sizeof(double));
+  out.bytes(view.choice_cycles, choice_count * sizeof(double));
+  out.bytes(view.choice_energy, choice_count * sizeof(double));
+  const std::uint64_t checksum = out.seal(path);
   obs::Registry::global().counter("costtable.saves").inc();
   return checksum;
 }
@@ -121,101 +79,89 @@ MmapCostTable::Mapping::~Mapping() {
 
 MmapCostTable::MmapCostTable(std::string path, const ArchSpace& arch_space)
     : path_(std::move(path)), arch_space_(arch_space) {
-  const auto fail = [this](const std::string& message, std::size_t offset = 0,
-                           std::uint64_t expected = 0,
-                           std::uint64_t actual = 0) -> ArtifactError {
+  try {
+    map_and_parse();
+  } catch (const util::ArtifactError&) {
     obs::Registry::global().counter("costtable.load_errors").inc();
-    return ArtifactError(message, path_, offset, expected, actual);
-  };
-
-  const int fd = ::open(path_.c_str(), O_RDONLY);
-  if (fd < 0) {
-    throw fail(std::string("open failed: ") + std::strerror(errno));
+    throw;
   }
+  obs::Registry::global().counter("costtable.loads").inc();
+  obs::Registry::global().counter("costtable.mapped_bytes").inc(map_.len);
+}
+
+void MmapCostTable::map_and_parse() {
+  const auto os_error = [this](const char* call, int err) {
+    return util::ArtifactError(
+        std::string(call) + " failed: " + std::strerror(err), path_);
+  };
+  const int fd = ::open(path_.c_str(), O_RDONLY);
+  if (fd < 0) throw os_error("open", errno);
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
     const int err = errno;
     ::close(fd);
-    throw fail(std::string("fstat failed: ") + std::strerror(err));
+    throw os_error("fstat", err);
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  if (size < kHeaderBytes + kChecksumBytes) {
+  if (size == 0) {
     ::close(fd);
-    throw fail("file truncated before header", size);
+    throw util::ArtifactError("empty file", path_);
   }
   void* addr = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+  const int err = errno;
   ::close(fd);  // the mapping keeps the file alive
-  if (addr == MAP_FAILED) {
-    throw fail(std::string("mmap failed: ") + std::strerror(errno));
-  }
+  if (addr == MAP_FAILED) throw os_error("mmap", err);
   map_.addr = addr;  // RAII from here: any throw below unmaps
   map_.len = size;
-  const char* data = static_cast<const char*>(addr);
 
-  // Checksum first (DSNP discipline): nothing else is trusted, or even
-  // interpreted, until the whole image verifies.
-  const auto stored = get_at<std::uint64_t>(data, size - kChecksumBytes);
-  const std::uint64_t actual =
-      util::fnv1a(data, size - kChecksumBytes, util::kFnv1aStoredBasis);
-  if (stored != actual) {
-    throw fail("checksum mismatch", size - kChecksumBytes, stored, actual);
+  util::ArtifactReader in(path_, kMagic,
+                          {static_cast<const char*>(addr), size});
+  const auto version = in.get<std::uint32_t>();
+  if (version != kVersion) {
+    in.reject("unsupported version " + std::to_string(version));
   }
-
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    throw fail("bad magic (not a DCTB file)", 0);
-  }
-  if (get_at<std::uint32_t>(data, 4) != kVersion) {
-    throw fail("unsupported version " +
-                   std::to_string(get_at<std::uint32_t>(data, 4)),
-               4);
-  }
-  const auto num_slots = get_at<std::uint32_t>(data, 8);
-  const auto num_ops = get_at<std::uint32_t>(data, 12);
-  const auto num_configs = get_at<std::uint64_t>(data, 16);
-  if (num_ops != static_cast<std::uint32_t>(kNumCandidateOps)) {
-    throw fail("candidate-op count mismatch", 12);
-  }
+  const auto num_slots = in.get<std::uint32_t>();
   if (num_slots != static_cast<std::uint32_t>(arch_space_.num_searchable())) {
-    throw fail("slot count mismatch (table built for another backbone)", 8);
+    in.reject("slot count mismatch (table built for another backbone)");
   }
+  if (in.get<std::uint32_t>() != static_cast<std::uint32_t>(kNumCandidateOps)) {
+    in.reject("candidate-op count mismatch");
+  }
+  const std::size_t configs_at = in.offset();
+  const auto num_configs = in.get<std::uint64_t>();
+  const std::size_t options_at = in.offset();
   hwgen::HwSearchSpace::Options opts;
-  opts.pe_min = get_at<std::int32_t>(data, 24);
-  opts.pe_max = get_at<std::int32_t>(data, 28);
-  opts.rf_min = get_at<std::int32_t>(data, 32);
-  opts.rf_max = get_at<std::int32_t>(data, 36);
-  opts.rf_step = get_at<std::int32_t>(data, 40);
+  for (int* field :
+       {&opts.pe_min, &opts.pe_max, &opts.rf_min, &opts.rf_max, &opts.rf_step}) {
+    *field = in.get<std::int32_t>();
+  }
   if (opts.pe_min <= 0 || opts.pe_max < opts.pe_min || opts.rf_min <= 0 ||
       opts.rf_max < opts.rf_min || opts.rf_step <= 0) {
-    throw fail("invalid hardware-space options", 24);
+    in.reject_at("invalid hardware-space options", options_at);
   }
   hw_space_ = hwgen::HwSearchSpace(opts);
   if (num_configs != hw_space_.size()) {
-    throw fail("config count disagrees with hardware-space options", 16);
+    in.reject_at("config count disagrees with hardware-space options",
+                 configs_at);
   }
-  const auto encoding_width = get_at<std::uint32_t>(data, 44);
-  if (encoding_width !=
+  if (in.get<std::uint32_t>() !=
       static_cast<std::uint32_t>(arch_space_.encoding_width())) {
-    throw fail("architecture encoding width mismatch", 44);
+    in.reject("architecture encoding width mismatch");
   }
-  const double clock_ghz = get_at<double>(data, 48);
-  if (!(clock_ghz > 0.0)) {
-    throw fail("non-positive clock frequency", 48);
-  }
-  const auto payload_bytes = get_at<std::uint64_t>(data, 56);
+  const auto clock_ghz = in.get<double>();
+  if (!(clock_ghz > 0.0)) in.reject("non-positive clock frequency");
+  const auto payload_bytes = in.get<std::uint64_t>();
   const std::size_t choice_count =
       static_cast<std::size_t>(num_slots) * kNumCandidateOps * num_configs;
-  const std::size_t expected_payload =
+  if (payload_bytes !=
       (3 * static_cast<std::size_t>(num_configs) + 2 * choice_count) *
-      sizeof(double);
-  if (payload_bytes != expected_payload) {
-    throw fail("payload size disagrees with table dimensions", 56);
+          sizeof(double)) {
+    in.reject("payload size disagrees with table dimensions");
   }
-  if (size != kHeaderBytes + payload_bytes + kChecksumBytes) {
-    throw fail("file size disagrees with payload", kHeaderBytes + payload_bytes);
-  }
-
   const auto* payload =
-      reinterpret_cast<const double*>(data + kHeaderBytes);
+      reinterpret_cast<const double*>(in.take(payload_bytes));
+  in.finish();
+
   view_.fixed_cycles = payload;
   view_.fixed_energy = payload + num_configs;
   view_.area = payload + 2 * num_configs;
@@ -224,9 +170,7 @@ MmapCostTable::MmapCostTable(std::string path, const ArchSpace& arch_space)
   view_.num_configs = num_configs;
   view_.slots = static_cast<int>(num_slots);
   view_.clock_ghz = clock_ghz;
-  checksum_ = stored;
-  obs::Registry::global().counter("costtable.loads").inc();
-  obs::Registry::global().counter("costtable.mapped_bytes").inc(size);
+  checksum_ = in.checksum();
 }
 
 MmapCostTable::~MmapCostTable() = default;

@@ -3,53 +3,31 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "arch/cost_provider.h"
+#include "util/artifact.h"
 
 namespace dance::arch {
-
-/// Typed diagnostic for a cost-table artifact that failed to save, load or
-/// verify. Carries where in the file the parse gave up and — for checksum
-/// failures — both sides of the mismatch, so callers can print an
-/// actionable message instead of a bare "bad file".
-class ArtifactError : public std::runtime_error {
- public:
-  ArtifactError(const std::string& message, std::string path,
-                std::size_t offset = 0, std::uint64_t expected_checksum = 0,
-                std::uint64_t actual_checksum = 0);
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-  /// Byte offset at which validation failed (0 when not applicable).
-  [[nodiscard]] std::size_t offset() const { return offset_; }
-  [[nodiscard]] std::uint64_t expected_checksum() const { return expected_; }
-  [[nodiscard]] std::uint64_t actual_checksum() const { return actual_; }
-
- private:
-  std::string path_;
-  std::size_t offset_ = 0;
-  std::uint64_t expected_ = 0;
-  std::uint64_t actual_ = 0;
-};
 
 /// Compiles a provider's full (slot, op, config) table into a DCTB-v1 file
 /// (see docs/cost_table.md for the byte layout): fixed 64-byte header
 /// carrying the table dimensions, the HwSearchSpace::Options needed to
 /// reconstruct H, the ArchSpace encoding width and the clock, followed by
 /// the five flat f64 arrays and a trailing FNV-1a checksum over everything
-/// before it. Written via util::atomic_write_file (tmp + rename), so a
-/// crash mid-save never leaves a torn file. Returns the checksum.
+/// before it. Written through util::ArtifactWriter (tmp + rename), so a
+/// crash mid-save never leaves a torn file. Returns the checksum; throws
+/// util::ArtifactError when the write fails.
 std::uint64_t save_cost_table(const TableCostProvider& table,
                               const std::string& path);
 
-/// A compiled cost table mapped read-only from disk. The file is verified
-/// checksum-first and parsed fully before the first query (DSNP
-/// discipline); any defect — truncation, bit flips anywhere, a table built
-/// for a different architecture space — throws ArtifactError from the
-/// constructor and nothing is ever served from a bad mapping. Pages are
-/// MAP_SHARED, so N processes mapping one artifact share one physical copy
-/// and pay zero per-process build time.
+/// A compiled cost table mapped read-only from disk. The mapping is
+/// verified checksum-first and parsed fully by util::ArtifactReader before
+/// the first query; any defect — truncation, bit flips anywhere, a table
+/// built for a different architecture space — throws util::ArtifactError
+/// from the constructor and nothing is ever served from a bad mapping.
+/// Pages are MAP_SHARED, so N processes mapping one artifact share one
+/// physical copy and pay zero per-process build time.
 class MmapCostTable : public TableCostProvider {
  public:
   /// `arch_space` is the caller's network space (the backbone is not
@@ -78,6 +56,8 @@ class MmapCostTable : public TableCostProvider {
     ~Mapping();
   };
 
+  void map_and_parse();
+
   std::string path_;
   const ArchSpace& arch_space_;
   hwgen::HwSearchSpace hw_space_;
@@ -86,7 +66,7 @@ class MmapCostTable : public TableCostProvider {
 };
 
 /// Factory form of the MmapCostTable constructor, symmetric with
-/// arch::build_cost_table. Throws ArtifactError on any defect.
+/// arch::build_cost_table. Throws util::ArtifactError on any defect.
 [[nodiscard]] std::unique_ptr<MmapCostTable> load_cost_table(
     const std::string& path, const ArchSpace& arch_space);
 

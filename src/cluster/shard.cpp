@@ -36,7 +36,7 @@ net::Endpoint ShardServer::start(const net::Endpoint& listen_at) {
       try {
         warm_entries_ = load_snapshot(
             opts_.snapshot_path, space_.encoding_width(), *service_.cache());
-      } catch (const SnapshotError& e) {
+      } catch (const util::ArtifactError& e) {
         // Warm starts are best-effort: a stale or corrupt snapshot must
         // never block serving — log, serve cold.
         std::fprintf(stderr, "[shard] snapshot load skipped: %s\n", e.what());
@@ -52,7 +52,7 @@ bool ShardServer::drain_and_stop(long drain_timeout_ms) {
     try {
       save_snapshot(*service_.cache(), space_.encoding_width(),
                     opts_.snapshot_path);
-    } catch (const SnapshotError& e) {
+    } catch (const util::ArtifactError& e) {
       std::fprintf(stderr, "[shard] snapshot save failed: %s\n", e.what());
     }
   }

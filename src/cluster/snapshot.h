@@ -1,20 +1,12 @@
 #pragma once
 
 #include <cstddef>
-#include <stdexcept>
 #include <string>
 
 #include "serve/cache.h"
+#include "util/artifact.h"
 
 namespace dance::cluster {
-
-/// Raised when a snapshot file is unreadable, truncated, checksum-corrupt,
-/// from an unknown format version, or built for a different encoding
-/// width. Loads fail atomically: the target cache is untouched on throw.
-class SnapshotError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Versioned binary cache snapshot — the cluster warm-start path. A shard
 /// saves its memoization cache at drain and reloads it at the next start,
@@ -40,15 +32,19 @@ class SnapshotError : public std::runtime_error {
 ///
 /// Obs counters: cluster.snapshot.{saved_entries,loaded_entries,errors}.
 
-/// Writes `cache` to `path` atomically (temp file + rename). Returns the
-/// entry count written. Throws SnapshotError on I/O failure.
+/// Writes `cache` to `path` through util::ArtifactWriter (temp file +
+/// rename). Returns the entry count written. Throws util::ArtifactError on
+/// I/O failure.
 std::size_t save_snapshot(const serve::ShardedLruCache& cache,
                           int encoding_width, const std::string& path);
 
 /// Replays `path` into `cache` via put(). The whole file is parsed and
 /// checksum-verified before the first insertion, so a corrupt file never
 /// half-populates the cache. `expected_width` must match the stored width
-/// (pass 0 to skip the check). Returns the entry count restored.
+/// (pass 0 to skip the check). Returns the entry count restored. Throws
+/// util::ArtifactError (path and failing offset) on an unreadable,
+/// truncated, corrupt, unknown-version or wrong-width file; the cache is
+/// untouched on throw.
 std::size_t load_snapshot(const std::string& path, int expected_width,
                           serve::ShardedLruCache& cache);
 

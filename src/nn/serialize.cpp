@@ -2,44 +2,18 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
+#include <string_view>
 
-#include "util/fs.h"
+#include "util/artifact.h"
 
 namespace dance::nn {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0xDA9CE001;
-
-struct Header {
-  std::uint32_t magic;
-  std::uint32_t count;
-};
-
-bool read_shapes(std::ifstream& in, std::uint32_t count,
-                 std::vector<std::vector<int>>& shapes) {
-  shapes.clear();
-  for (std::uint32_t p = 0; p < count; ++p) {
-    std::uint32_t rank = 0;
-    if (!in.read(reinterpret_cast<char*>(&rank), sizeof(rank))) return false;
-    if (rank > 8) return false;
-    std::vector<int> shape(rank);
-    std::size_t numel = 1;
-    for (auto& d : shape) {
-      std::int32_t v = 0;
-      if (!in.read(reinterpret_cast<char*>(&v), sizeof(v))) return false;
-      if (v < 0) return false;
-      d = v;
-      numel *= static_cast<std::size_t>(v);
-    }
-    shapes.push_back(std::move(shape));
-    in.seekg(static_cast<std::streamoff>(numel * sizeof(float)), std::ios::cur);
-    if (!in) return false;
-  }
-  return true;
-}
+/// u32 0xDA9CE002 in little-endian byte order.
+constexpr std::string_view kMagic("\x02\xE0\x9C\xDA", 4);
+constexpr std::uint32_t kMaxRank = 8;
 
 std::string shape_str(const std::vector<int>& shape) {
   std::string s = "[";
@@ -50,55 +24,19 @@ std::string shape_str(const std::vector<int>& shape) {
   return s + "]";
 }
 
-/// Bounds-checked reader whose error messages carry the checkpoint path,
-/// how many bytes the current read needed vs. how many remained, and which
-/// tensor was being parsed — enough to pinpoint the bad file in a
-/// directory of generations without a hexdump.
-struct Cursor {
-  const char* p;
-  std::size_t left;
-  const std::string& path;
-  std::string where = "header";
-
-  void raw(void* out, std::size_t n) {
-    if (n > left) {
-      throw std::runtime_error("load_tensors: truncated checkpoint " + path +
-                               ": reading " + where + " needs " +
-                               std::to_string(n) + " bytes but only " +
-                               std::to_string(left) + " remain");
-    }
-    std::memcpy(out, p, n);
-    p += n;
-    left -= n;
-  }
-  template <typename T>
-  T get() {
-    T v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-};
-
 }  // namespace
 
 void save_tensors(const std::string& path,
                   const std::vector<const tensor::Tensor*>& tensors) {
-  std::string buf;
-  auto put = [&buf](const void* p, std::size_t n) {
-    buf.append(static_cast<const char*>(p), n);
-  };
-  const Header h{kMagic, static_cast<std::uint32_t>(tensors.size())};
-  put(&h, sizeof(h));
+  util::ArtifactWriter out;
+  out.bytes(kMagic.data(), kMagic.size());
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(tensors.size()));
   for (const auto* t : tensors) {
-    const std::uint32_t rank = static_cast<std::uint32_t>(t->rank());
-    put(&rank, sizeof(rank));
-    for (int d : t->shape()) {
-      const std::int32_t v = d;
-      put(&v, sizeof(v));
-    }
-    put(t->data(), t->numel() * sizeof(float));
+    out.put<std::uint32_t>(static_cast<std::uint32_t>(t->rank()));
+    for (const int d : t->shape()) out.put<std::int32_t>(d);
+    out.bytes(t->data(), t->numel() * sizeof(float));
   }
-  util::atomic_write_file(path, buf);
+  (void)out.seal(path);
 }
 
 void load_tensors(const std::string& path,
@@ -109,50 +47,38 @@ void load_tensors(const std::string& path,
                              " names for " + std::to_string(tensors.size()) +
                              " tensors");
   }
-  std::string bytes;
-  try {
-    bytes = util::read_file(path);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(std::string("load_tensors: ") + e.what());
+  util::ArtifactReader in(path, kMagic);
+  const auto count = in.get<std::uint32_t>();
+  if (count != tensors.size()) {
+    in.reject("tensor count mismatch: file has " + std::to_string(count) +
+              ", model expects " + std::to_string(tensors.size()));
   }
-
-  Cursor cur{bytes.data(), bytes.size(), path};
-  const auto h = cur.get<Header>();
-  if (h.magic != kMagic) {
-    throw std::runtime_error("load_tensors: bad checkpoint " + path +
-                             ": magic mismatch (not a dance checkpoint)");
-  }
-  if (h.count != tensors.size()) {
-    throw std::runtime_error(
-        "load_tensors: tensor count mismatch in " + path + ": file has " +
-        std::to_string(h.count) + ", model expects " +
-        std::to_string(tensors.size()));
-  }
+  // Parse the whole file before the first copy, so a rejected checkpoint
+  // leaves every destination tensor as it was.
+  std::vector<const char*> payloads;
+  payloads.reserve(tensors.size());
   for (std::size_t i = 0; i < tensors.size(); ++i) {
-    auto* t = tensors[i];
+    const tensor::Tensor& t = *tensors[i];
     const std::string name =
         names.empty() ? "tensor #" + std::to_string(i) : names[i];
-    cur.where = name;
-    const auto rank = cur.get<std::uint32_t>();
-    if (rank > 8) {
-      throw std::runtime_error("load_tensors: corrupt checkpoint " + path +
-                               ": " + name + " has rank " +
-                               std::to_string(rank));
+    const std::size_t at = in.offset();
+    const auto rank = in.get<std::uint32_t>();
+    if (rank > kMaxRank) {
+      in.reject(name + " has rank " + std::to_string(rank));
     }
     std::vector<int> shape(rank);
-    for (auto& d : shape) d = cur.get<std::int32_t>();
-    if (shape != t->shape()) {
-      throw std::runtime_error("load_tensors: shape mismatch in " + path +
-                               ": " + name + " is " + shape_str(shape) +
-                               " in file, " + shape_str(t->shape()) +
-                               " in model");
+    for (auto& d : shape) d = in.get<std::int32_t>();
+    if (shape != t.shape()) {
+      in.reject_at("shape mismatch: " + name + " is " + shape_str(shape) +
+                       " in file, " + shape_str(t.shape()) + " in model",
+                   at);
     }
-    cur.raw(t->data(), t->numel() * sizeof(float));
+    payloads.push_back(in.take(t.numel() * sizeof(float)));
   }
-  if (cur.left != 0) {
-    throw std::runtime_error("load_tensors: corrupt checkpoint " + path +
-                             ": " + std::to_string(cur.left) +
-                             " trailing bytes after last tensor");
+  in.finish();
+  for (std::size_t i = 0; i < tensors.size(); ++i) {
+    const std::size_t n = tensors[i]->numel() * sizeof(float);
+    if (n > 0) std::memcpy(tensors[i]->data(), payloads[i], n);
   }
 }
 
@@ -171,23 +97,6 @@ void load_parameters(const std::string& path,
   ts.reserve(params.size());
   for (auto& p : params) ts.push_back(&p.value());
   load_tensors(path, ts, names);
-}
-
-bool checkpoint_compatible(const std::string& path,
-                           const std::vector<tensor::Variable>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  Header h{};
-  if (!in.read(reinterpret_cast<char*>(&h), sizeof(h)) || h.magic != kMagic ||
-      h.count != params.size()) {
-    return false;
-  }
-  std::vector<std::vector<int>> shapes;
-  if (!read_shapes(in, h.count, shapes)) return false;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (shapes[i] != params[i].value().shape()) return false;
-  }
-  return true;
 }
 
 }  // namespace dance::nn

@@ -1,6 +1,7 @@
 #include "testing/oracles.h"
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 namespace dance::testing {
@@ -82,6 +83,15 @@ std::string cross_check_backends(const accel::CostModel& model,
   if (area_model != area_sim) {
     fail << "area models diverged: analytical " << area_model << " vs systolic "
          << area_sim;
+    return describe();
+  }
+
+  // 7. The simulator's im2col lowering covers exactly the layer's MACs: a
+  // grouped layer must not be simulated as `groups` copies of the dense one.
+  const auto g = accel::SystolicSimulator::lower_to_gemm(config, shape);
+  if (static_cast<std::int64_t>(g.m) * g.n * g.k != shape.macs()) {
+    fail << "lowered GEMM " << g.m << "x" << g.n << "x" << g.k
+         << " does not cover the layer's " << shape.macs() << " MACs";
     return describe();
   }
 

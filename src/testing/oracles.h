@@ -25,7 +25,7 @@ namespace dance::testing {
 /// ~1.4, observed maxima 2.49 / 2.13 — the tail is depthwise layers, where
 /// the roofline mapping exploits group sparsity the im2col GEMM lowering
 /// gives up. 3.0 leaves ~3x headroom over the observed worst case; the
-/// order-of-magnitude teeth of the oracle are invariants 1-4 and 6 below,
+/// order-of-magnitude teeth of the oracle are invariants 1-4, 6 and 7 below,
 /// which are exact.
 struct BackendTolerance {
   /// |log10(systolic_latency / analytical_latency)| bound.
@@ -42,7 +42,8 @@ struct BackendTolerance {
 ///     lose utilization),
 ///  4. simulated cycles >= MACs / #PEs (fill/drain can only add cycles),
 ///  5. latency/energy ratios inside the `BackendTolerance` bands,
-///  6. the two backends report the bit-identical area (shared area model).
+///  6. the two backends report the bit-identical area (shared area model),
+///  7. the simulator's lowered GEMM volume m*n*k equals the layer's MACs.
 ///
 /// Returns "" on success, else a diagnosis naming the violated invariant
 /// with both backends' numbers — usable directly as a property body.

@@ -8,9 +8,9 @@ namespace dance::util {
 /// Atomically replaces `path` with `bytes`: the content is written to a
 /// sibling temp file (`<path>.tmp`) and renamed over the target, so a crash
 /// mid-write leaves either the old file or the new one — never a torn
-/// prefix. This is the single save idiom shared by the cluster cache
-/// snapshots, nn checkpoint saves and the registry MANIFEST; every writer
-/// that stages its bytes in memory goes through here.
+/// prefix. This is the single save idiom: util::ArtifactWriter (DCTB cost
+/// tables, DSNP cache snapshots, nn checkpoints) and the registry MANIFEST
+/// go through here.
 ///
 /// Throws std::runtime_error (with the failing path and strerror text) on
 /// open/short-write/rename failure; the temp file is removed on the error

@@ -122,9 +122,9 @@ TEST(cluster_snapshot, RejectsWrongWidthAndMissingFile) {
 
   serve::ShardedLruCache target(8, 1);
   EXPECT_THROW((void)cluster::load_snapshot(path, 3, target),
-               cluster::SnapshotError);
+               util::ArtifactError);
   EXPECT_THROW((void)cluster::load_snapshot(test_path("absent"), 2, target),
-               cluster::SnapshotError);
+               util::ArtifactError);
   EXPECT_EQ(target.stats().entries, 0U);  // failed loads leave it untouched
   std::remove(path.c_str());
 }
@@ -158,7 +158,7 @@ TEST(cluster_snapshot, RejectsCorruptionEverywhere) {
     std::fclose(w);
     serve::ShardedLruCache target(16, 2);
     EXPECT_THROW((void)cluster::load_snapshot(path, 1, target),
-                 cluster::SnapshotError)
+                 util::ArtifactError)
         << "flip at " << at;
     EXPECT_EQ(target.stats().entries, 0U);
   }
@@ -169,10 +169,42 @@ TEST(cluster_snapshot, RejectsCorruptionEverywhere) {
     std::fclose(w);
     serve::ShardedLruCache target(16, 2);
     EXPECT_THROW((void)cluster::load_snapshot(path, 1, target),
-                 cluster::SnapshotError)
+                 util::ArtifactError)
         << "truncated to " << keep;
     EXPECT_EQ(target.stats().entries, 0U);
   }
+  std::remove(path.c_str());
+}
+
+TEST(cluster_snapshot, StoredBytesArePinned) {
+  // DSNP is a stored format: this fixed two-entry cache must serialize to
+  // exactly the bytes it did when the format was pinned.
+  serve::ShardedLruCache cache(4, 1);
+  cache.put({1.0F, -2.5F}, snapshot_response(1.0F));
+  cache.put({0.25F}, snapshot_response(3.0F));
+  const std::string path = test_path("snappin");
+  ASSERT_EQ(cluster::save_snapshot(cache, 2, path), 2U);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string image(256, '\0');
+  image.resize(std::fread(image.data(), 1, image.size(), f));
+  std::fclose(f);
+  std::string hex;
+  for (const unsigned char b : image) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  EXPECT_EQ(hex,
+            "44534e50" "01000000" "02000000" "0200000000000000"  // header
+            // entry 1: key {1, -2.5}, metrics 1.5/2.5/3.5, 9x12 rf16 OS
+            "02000000" "0000803f000020c0" "000000000000f83f"
+            "0000000000000440" "0000000000000c40" "09000000" "0c000000"
+            "10000000" "01" "00"
+            // entry 2: key {0.25}, metrics 4.5/7.5/10.5, 11x12 rf16 OS
+            "01000000" "0000803e" "0000000000001240" "0000000000001e40"
+            "0000000000002540" "0b000000" "0c000000" "10000000" "01" "00"
+            "b7c8359fac69d90d");  // FNV-1a checksum
   std::remove(path.c_str());
 }
 

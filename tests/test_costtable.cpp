@@ -169,7 +169,7 @@ TEST_F(costtable_artifact, ChecksumMismatchCarriesDiagnostics) {
   try {
     (void)arch::load_cost_table(path, arch_space);
     FAIL() << "corrupt artifact was accepted";
-  } catch (const arch::ArtifactError& e) {
+  } catch (const util::ArtifactError& e) {
     EXPECT_EQ(e.path(), path);
     EXPECT_EQ(e.expected_checksum(), checksum);
     EXPECT_NE(e.actual_checksum(), checksum);
@@ -195,7 +195,7 @@ TEST_F(costtable_artifact, CorruptionAnywhereIsRejected) {
     bad[at] ^= 0x01;
     dump(bad);
     EXPECT_THROW((void)arch::load_cost_table(path, arch_space),
-                 arch::ArtifactError)
+                 util::ArtifactError)
         << "flip at offset " << at << " was accepted";
   }
 }
@@ -210,12 +210,12 @@ TEST_F(costtable_artifact, TruncationAndTrailingBytesAreRejected) {
         good.size() / 2, good.size() - 9, good.size() - 1}) {
     dump(good.substr(0, len));
     EXPECT_THROW((void)arch::load_cost_table(path, arch_space),
-                 arch::ArtifactError)
+                 util::ArtifactError)
         << "truncation to " << len << " bytes was accepted";
   }
   dump(good + std::string(8, '\0'));
   EXPECT_THROW((void)arch::load_cost_table(path, arch_space),
-               arch::ArtifactError)
+               util::ArtifactError)
       << "trailing garbage was accepted";
 }
 
@@ -233,7 +233,7 @@ TEST_F(costtable_artifact, StructuralMismatchesAreRejected) {
     try {
       (void)arch::load_cost_table(path, arch_space);
       FAIL() << "mismatch at offset " << offset << " was accepted";
-    } catch (const arch::ArtifactError& e) {
+    } catch (const util::ArtifactError& e) {
       EXPECT_EQ(e.offset(), offset) << e.what();
     }
   };
@@ -245,11 +245,29 @@ TEST_F(costtable_artifact, StructuralMismatchesAreRejected) {
   expect_reject_at(44, 9 * 5);       // encoding width of a different space
 }
 
+TEST_F(costtable_artifact, StoredBytesArePinned) {
+  // The DCTB layout is a stored format: a table compiled for the smallest
+  // hardware space (one PE size, one RF size, three dataflows) must keep
+  // the exact size and checksum it had when the format was pinned.
+  const hwgen::HwSearchSpace tiny(
+      {.pe_min = 8, .pe_max = 8, .rf_min = 16, .rf_max = 16, .rf_step = 8});
+  ASSERT_EQ(tiny.size(), 3U);
+  const arch::CostTable table = arch::build_cost_table(arch_space, tiny, model);
+  const std::uint64_t checksum = arch::save_cost_table(table, path);
+  const std::string bytes = slurp();
+  std::uint64_t trailer = 0;
+  std::memcpy(&trailer, bytes.data() + bytes.size() - 8, 8);
+  EXPECT_EQ(bytes.size(), 3168U);
+  EXPECT_EQ(checksum, 6963971302642630303ULL);
+  EXPECT_EQ(trailer, checksum);
+  EXPECT_EQ(fnv1a(bytes, bytes.size() - 8), checksum);
+}
+
 TEST_F(costtable_artifact, MissingFileIsRejected) {
   try {
     (void)arch::load_cost_table(path + ".does-not-exist", arch_space);
     FAIL() << "missing file was accepted";
-  } catch (const arch::ArtifactError& e) {
+  } catch (const util::ArtifactError& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
     EXPECT_EQ(e.path(), path + ".does-not-exist");
   }

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "accel/cost_function.h"
-#include "hwgen/coordinate_descent.h"
 #include "hwgen/exhaustive.h"
 #include "hwgen/pareto.h"
 #include "hwgen/search_space.h"
@@ -116,21 +115,6 @@ TEST(ExhaustiveSearch, EmptyNetworkThrows) {
   accel::CostModel model;
   ExhaustiveSearch search(space, model);
   EXPECT_THROW((void)search.run({}, accel::edap_cost()), std::invalid_argument);
-}
-
-TEST(CoordinateDescent, NeverBeatsExhaustiveAndIsClose) {
-  HwSearchSpace space;
-  accel::CostModel model;
-  ExhaustiveSearch exact(space, model);
-  CoordinateDescent cd(space, model, /*restarts=*/4);
-  const auto layers = tiny_network();
-  const auto cost_fn = accel::edap_cost();
-  const double exact_cost = exact.run(layers, cost_fn).cost;
-  const HwSearchResult approx = cd.run(layers, cost_fn);
-  EXPECT_GE(approx.cost, exact_cost - 1e-12);
-  EXPECT_LE(approx.cost, 1.5 * exact_cost);  // should land near the optimum
-  // And it should evaluate far fewer points than the exhaustive search.
-  EXPECT_LT(cd.evaluations(), static_cast<long>(space.size()) / 4);
 }
 
 TEST(Pareto, DominatesSemantics) {

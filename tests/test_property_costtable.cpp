@@ -192,7 +192,7 @@ TEST(costtable_property, SingleByteCorruptionAnywhereIsRejected) {
         try {
           (void)arch::load_cost_table(bad_path, env().arch_space);
           return "corrupt artifact was accepted";
-        } catch (const arch::ArtifactError&) {
+        } catch (const util::ArtifactError&) {
           return "";
         }
       });

@@ -2,8 +2,8 @@
 // the evalnet checkpoint paths. Random tensor lists (including ±0, ±inf,
 // NaN and denormal payloads) must survive save/load byte-exactly; random
 // evaluator-network configurations must reload into functionally identical
-// models; and *no* truncation of a valid checkpoint may crash the loader —
-// it must throw std::runtime_error.
+// models; and *no* truncation or bit flip of a valid checkpoint may crash
+// the loader or touch its destinations — it must throw util::ArtifactError.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,7 +11,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "evalnet/cost_net.h"
@@ -21,6 +23,7 @@
 #include "nn/serialize.h"
 #include "testing/generators.h"
 #include "testing/property.h"
+#include "util/artifact.h"
 
 namespace testing_ = dance::testing;
 
@@ -73,44 +76,64 @@ TEST(SerializeRoundTrip, TensorListsSurviveByteExactly) {
 
 TEST(SerializeRoundTrip, TruncatedCheckpointsThrowNeverCrash) {
   // Differential fuzz of the load path: cut a valid checkpoint at a random
-  // byte offset. Every prefix must be rejected with std::runtime_error —
-  // no crash, no hang, no silent partial load into a *fresh* model.
+  // byte offset, and flip one random bit of it. Every damaged file must be
+  // rejected with util::ArtifactError — no crash, no hang — before any
+  // destination tensor is written.
   const std::string path = temp_path("trunc");
   const auto result = testing_::check<std::vector<Tensor>>(
-      "truncated checkpoint rejection", testing_::tensor_list_gen(4, 8),
+      "damaged checkpoint rejection", testing_::tensor_list_gen(4, 8),
       [&](const std::vector<Tensor>& ts, util::Rng& rng) -> std::string {
         std::vector<const Tensor*> src;
         for (const auto& t : ts) src.push_back(&t);
         nn::save_tensors(path, src);
-        const auto full_size =
-            static_cast<long>(std::filesystem::file_size(path));
-        if (full_size <= 1) return "";
-        const long cut = rng.randint(0, static_cast<int>(full_size) - 1);
-
-        // Rewrite a truncated copy.
-        std::vector<char> bytes(static_cast<std::size_t>(full_size));
+        std::string good;
         {
           std::ifstream in(path, std::ios::binary);
-          in.read(bytes.data(), full_size);
+          good.assign(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
         }
-        {
-          std::ofstream out(path, std::ios::binary | std::ios::trunc);
-          out.write(bytes.data(), cut);
-        }
+        const int size = static_cast<int>(good.size());
+        const int cut = rng.randint(0, size - 1);
+        const int flip_at = rng.randint(0, size - 1);
+        const int flip_bit = rng.randint(0, 7);
+        std::string flipped = good;
+        flipped[static_cast<std::size_t>(flip_at)] ^=
+            static_cast<char>(1 << flip_bit);
 
-        std::vector<Tensor> loaded;
-        for (const auto& t : ts) loaded.emplace_back(t.shape());
-        std::vector<Tensor*> dst;
-        for (auto& t : loaded) dst.push_back(&t);
-        try {
-          nn::load_tensors(path, dst);
-          // A cut before any payload byte can only succeed for zero tensors.
-          if (!ts.empty()) {
-            return "loader accepted a checkpoint truncated at byte " +
-                   std::to_string(cut) + " of " + std::to_string(full_size);
+        for (const auto& [bad, what] :
+             {std::pair{good.substr(0, static_cast<std::size_t>(cut)),
+                        "truncated at byte " + std::to_string(cut)},
+              std::pair{flipped, "bit " + std::to_string(flip_bit) +
+                                     " flipped at byte " +
+                                     std::to_string(flip_at)}}) {
+          {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
           }
-        } catch (const std::runtime_error&) {
-          // expected
+          // Destinations hold a sentinel pattern that no load may touch.
+          std::vector<Tensor> loaded;
+          for (const auto& t : ts) {
+            loaded.emplace_back(t.shape());
+            for (std::size_t k = 0; k < loaded.back().numel(); ++k) {
+              loaded.back()[k] = -1234.5F - static_cast<float>(k);
+            }
+          }
+          const std::vector<Tensor> before = loaded;
+          std::vector<Tensor*> dst;
+          for (auto& t : loaded) dst.push_back(&t);
+          try {
+            nn::load_tensors(path, dst);
+            return "loader accepted a checkpoint " + what + " of " +
+                   std::to_string(size);
+          } catch (const util::ArtifactError&) {
+            // expected
+          }
+          for (std::size_t k = 0; k < loaded.size(); ++k) {
+            if (!bytes_equal(loaded[k], before[k])) {
+              return "rejected load of a checkpoint " + what +
+                     " overwrote tensor " + std::to_string(k);
+            }
+          }
         }
         return "";
       });
@@ -195,9 +218,6 @@ TEST(SerializeRoundTrip, ResidualMlpParametersReloadFunctionally) {
         const auto pa = a.parameters();
         auto pb = b.parameters();
         nn::save_parameters(path, pa);
-        if (!nn::checkpoint_compatible(path, pb)) {
-          return "checkpoint_compatible rejected a same-config model";
-        }
         nn::load_parameters(path, pb);
 
         a.set_training(false);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -7,6 +8,7 @@
 #include "hwgen/search_space.h"
 #include "nn/mlp.h"
 #include "nn/serialize.h"
+#include "util/artifact.h"
 
 namespace {
 
@@ -59,17 +61,17 @@ TEST(Serialize, CompatibilityCheck) {
   util::Rng rng(3);
   nn::ResidualMlp a(small_cfg(), rng);
   auto pa = a.parameters();
-  EXPECT_FALSE(nn::checkpoint_compatible(path, pa));  // does not exist yet
+  EXPECT_THROW(nn::load_parameters(path, pa),  // does not exist yet
+               util::ArtifactError);
   nn::save_parameters(path, pa);
-  EXPECT_TRUE(nn::checkpoint_compatible(path, pa));
+  EXPECT_NO_THROW(nn::load_parameters(path, pa));
 
   // A differently-shaped model must be rejected.
   nn::ResidualMlpConfig other = small_cfg();
   other.hidden_dim = 16;
   nn::ResidualMlp b(other, rng);
   auto pb = b.parameters();
-  EXPECT_FALSE(nn::checkpoint_compatible(path, pb));
-  EXPECT_THROW(nn::load_parameters(path, pb), std::runtime_error);
+  EXPECT_THROW(nn::load_parameters(path, pb), util::ArtifactError);
   std::filesystem::remove(path);
 }
 
@@ -82,8 +84,24 @@ TEST(Serialize, RejectsGarbageFile) {
   util::Rng rng(4);
   nn::ResidualMlp a(small_cfg(), rng);
   auto pa = a.parameters();
-  EXPECT_FALSE(nn::checkpoint_compatible(path, pa));
-  EXPECT_THROW(nn::load_parameters(path, pa), std::runtime_error);
+  EXPECT_THROW(nn::load_parameters(path, pa), util::ArtifactError);
+
+  // A checkpoint of the previous, unchecksummed format (magic 0xDA9CE001)
+  // is rejected by its magic.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const std::uint32_t header[2] = {0xDA9CE001, 0};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+    out.write("\0\0\0\0\0\0\0\0", 8);
+  }
+  try {
+    nn::load_parameters(path, pa);
+    FAIL() << "old-format checkpoint was accepted";
+  } catch (const util::ArtifactError& e) {
+    EXPECT_EQ(e.path(), path);
+    EXPECT_EQ(e.offset(), 0U);
+    EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos);
+  }
   std::filesystem::remove(path);
 }
 
@@ -124,7 +142,7 @@ TEST(Serialize, MissingFileThrows) {
   nn::ResidualMlp a(small_cfg(), rng);
   auto pa = a.parameters();
   EXPECT_THROW(nn::load_parameters("/tmp/definitely_missing_ckpt.bin", pa),
-               std::runtime_error);
+               util::ArtifactError);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "accel/systolic_sim.h"
 
 namespace {
@@ -88,6 +90,31 @@ TEST(SystolicSim, DepthwisePunishedOnWeightStationary) {
   const AcceleratorConfig os{16, 16, 32, Dataflow::kOutputStationary};
   EXPECT_GT(sim.simulate_layer(ws, dw).cycles,
             sim.simulate_layer(os, dw).cycles);
+}
+
+TEST(SystolicSim, GroupedLayerCostsNoMoreThanItsGroupsRunSeparately) {
+  // Folding the groups of a grouped layer into the streamed dimension
+  // amortizes fill/drain across them, so on every dataflow the layer can
+  // only be cheaper than running each group as its own dense layer — never
+  // `groups` times the dense layer's work.
+  SystolicSimulator sim;
+  const ConvShape depthwise{1, 16, 16, 8, 8, 3, 3, 1, 16};
+  const ConvShape grouped{2, 48, 24, 12, 12, 3, 3, 1, 4};
+  for (const ConvShape& s : {depthwise, grouped}) {
+    ConvShape one_group = s;
+    one_group.c = s.c / s.groups;
+    one_group.k = s.k / s.groups;
+    one_group.groups = 1;
+    for (auto df : kAllDataflows) {
+      const AcceleratorConfig cfg{8, 8, 16, df};
+      const auto g = SystolicSimulator::lower_to_gemm(cfg, s);
+      EXPECT_EQ(static_cast<std::int64_t>(g.m) * g.n * g.k, s.macs())
+          << s.to_string() << " " << to_string(df);
+      EXPECT_LE(sim.simulate_layer(cfg, s).cycles,
+                s.groups * sim.simulate_layer(cfg, one_group).cycles)
+          << s.to_string() << " " << to_string(df);
+    }
+  }
 }
 
 }  // namespace
